@@ -1,8 +1,9 @@
 #include "parallel.hh"
 
 #include <algorithm>
-#include <barrier>
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 #include <utility>
 
@@ -41,6 +42,84 @@ domainPacketId()
 }
 
 } // namespace par
+
+namespace
+{
+
+/** One spin-wait iteration: tell the core we are polling. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+/**
+ * The engine's window barrier (DESIGN.md §10): one fetch_add per
+ * arrival; the last arriver runs the completion step and publishes
+ * it by bumping the generation word; everyone else polls that word
+ * briefly and then parks on it. The arrival counter and the
+ * generation word sit on separate cache lines, so arrivals never
+ * invalidate the line the waiters poll.
+ */
+class WindowBarrier
+{
+  public:
+    explicit WindowBarrier(unsigned count) : count_(count) {}
+
+    template <typename Completion>
+    void
+    arriveAndWait(Completion &&completion)
+    {
+        // Read before arriving: the generation cannot move until
+        // this worker's own arrival, and the release half of the
+        // fetch_add keeps this load ahead of it.
+        const std::uint32_t gen =
+            generation_.load(std::memory_order_relaxed);
+        // acq_rel: release publishes this worker's window (its
+        // outboxes, its domains' queues and telemetry slots); the
+        // last arriver's acquire reads the whole release sequence
+        // of arrivals, so the completion step sees every window.
+        if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+            count_) {
+            // Nobody arrives again before the bump below, so the
+            // reset cannot race a next-window arrival.
+            arrived_.store(0, std::memory_order_relaxed);
+            completion();
+            // Release: the drained mailboxes and the next window
+            // bounds happen-before every waiter's acquire below.
+            // Seq_cst on top, paired with the seq_cst wait: the
+            // notify skips its futex wake when it counts no parked
+            // waiter, and only with both sides seq_cst can that
+            // count not miss a waiter that still saw the old
+            // generation (DESIGN.md §10).
+            generation_.store(gen + 1, std::memory_order_seq_cst);
+            generation_.notify_all();
+            return;
+        }
+        for (unsigned i = 0; i < spinPolls; ++i) {
+            if (generation_.load(std::memory_order_acquire) != gen)
+                return;
+            cpuRelax();
+        }
+        generation_.wait(gen, std::memory_order_seq_cst);
+    }
+
+  private:
+    /** Polls before parking: ~13 us at ~25 ns per pause. Long
+     *  enough to catch a completion step that only flips the
+     *  window (a few us on a small fabric), short enough that a
+     *  waiter facing a long mailbox drain parks instead of burning
+     *  the core its drainer may need. */
+    static constexpr unsigned spinPolls = 512;
+
+    alignas(64) std::atomic<unsigned> arrived_{0};
+    const unsigned count_;
+    alignas(64) std::atomic<std::uint32_t> generation_{0};
+};
+
+} // namespace
 
 ParallelEngine::ParallelEngine(std::vector<EventQueue *> queues,
                                Tick quantum, unsigned threads)
@@ -223,6 +302,16 @@ ParallelEngine::leaveDomain()
 void
 ParallelEngine::runDomainWindow(unsigned d, Tick horizon)
 {
+    if (queues_[d]->nextTick() > horizon) {
+        // Idle this window: nothing to enter, run, time or trace.
+        // A domain holding work beyond the horizon is
+        // lookahead-limited; an empty one counts as neither.
+#if PCIESIM_PROFILING
+        if (!queues_[d]->empty())
+            ++domainStallWindows_[d];
+#endif
+        return;
+    }
     enterDomain(d);
 #if PCIESIM_PROFILING
     // pciesim-analyze: ignore[wall-clock]: sanctioned 1-in-N host
@@ -246,24 +335,19 @@ ParallelEngine::runDomainWindow(unsigned d, Tick horizon)
                 .count());
         ++execSampled_[d];
     }
-    if (executed > 0) {
-        domainEvents_[d] += executed;
-        ++domainActiveWindows_[d];
+    // The next event is inside the horizon, so executed >= 1.
+    domainEvents_[d] += executed;
+    ++domainActiveWindows_[d];
 #if PCIESIM_TRACING
-        // One X span per active window on the domain's track —
-        // buffered through the per-domain merge, so the trace stays
-        // thread-count independent.
-        if (tracing_ && d < trackNames_.size()) {
-            TRACE_COMPLETE(trace::Flag::Parallel, windowStart_,
-                           windowEnd_ - windowStart_, trackNames_[d],
-                           "events=", executed);
-        }
-#endif
-    } else if (!queues_[d]->empty()) {
-        // Pending work beyond the horizon and nothing executable:
-        // the domain is lookahead-limited this window.
-        ++domainStallWindows_[d];
+    // One X span per active window on the domain's track —
+    // buffered through the per-domain merge, so the trace stays
+    // thread-count independent.
+    if (tracing_ && d < trackNames_.size()) {
+        TRACE_COMPLETE(trace::Flag::Parallel, windowStart_,
+                       windowEnd_ - windowStart_, trackNames_[d],
+                       "events=", executed);
     }
+#endif
 #else
     queues_[d]->runWindow(horizon);
 #endif
@@ -318,55 +402,64 @@ ParallelEngine::run(Tick max_tick)
         computeWindow(max_tick);
     };
 
+    // Worker @p w's end-of-window synchronization @p sync, with
+    // 1 in wallSamplePeriod calls timed into the worker's sync
+    // accumulators; @p seen counts the calls.
+    auto sync_window = [this](unsigned w, std::uint64_t &seen,
+                              auto &&sync) {
+#if PCIESIM_PROFILING
+        // pciesim-analyze: ignore[wall-clock]: sanctioned 1-in-N
+        // sync-wait subsample (DESIGN.md §14), taken only under
+        // --profile with times reported.
+        using clock = std::chrono::steady_clock;
+        const bool timed = prof::enabled() && prof::reportTimes() &&
+                           (seen++ & (wallSamplePeriod - 1)) == 0;
+        if (timed) [[unlikely]] {
+            const clock::time_point t0 = clock::now();
+            sync();
+            barrierNs_[w] += static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    clock::now() - t0)
+                    .count());
+            ++barrierSampled_[w];
+            return;
+        }
+#else
+        (void)w;
+        (void)seen;
+#endif
+        sync();
+    };
+
     if (threads_ == 1) {
         // Serial fast path: same window loop, same domain order,
         // same keyed heap — so the output matches any thread count
         // — but with no barrier and no thread spawn. This is what
         // keeps the one-thread engine within a few percent of the
-        // legacy single-queue run.
+        // legacy single-queue run. Its sync cost is the completion
+        // step itself, sampled like a barrier wait.
+        std::uint64_t seen = 0;
         while (!stop_.load(std::memory_order_relaxed)) {
             const Tick horizon = windowEnd_ - 1;
             for (unsigned d = 0; d < nq; ++d)
                 runDomainWindow(d, horizon);
-            on_completion();
+            sync_window(0, seen, on_completion);
         }
+#if PCIESIM_PROFILING
+        barrierSeen_[0] += seen;
+#endif
     } else {
-        std::barrier barrier(threads_, on_completion);
+        WindowBarrier barrier(threads_);
 
         auto work = [&](unsigned w) {
-#if PCIESIM_PROFILING
             std::uint64_t seen = 0;
-#endif
             while (!stop_.load(std::memory_order_relaxed)) {
                 const Tick horizon = windowEnd_ - 1;
                 for (unsigned d = w; d < nq; d += threads_)
                     runDomainWindow(d, horizon);
-#if PCIESIM_PROFILING
-                // pciesim-analyze: ignore[wall-clock]: sanctioned
-                // 1-in-N barrier-wait subsample (DESIGN.md §14),
-                // taken only under --profile with times reported.
-                const bool timed =
-                    prof::enabled() && prof::reportTimes() &&
-                    (seen++ & (wallSamplePeriod - 1)) == 0;
-                if (timed) [[unlikely]] {
-                    // pciesim-analyze: ignore[wall-clock]: same
-                    // sanctioned barrier-wait subsample gate as
-                    // above.
-                    using clock = std::chrono::steady_clock;
-                    const clock::time_point t0 = clock::now();
-                    barrier.arrive_and_wait();
-                    barrierNs_[w] += static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<
-                            std::chrono::nanoseconds>(clock::now() -
-                                                      t0)
-                            .count());
-                    ++barrierSampled_[w];
-                } else {
-                    barrier.arrive_and_wait();
-                }
-#else
-                barrier.arrive_and_wait();
-#endif
+                sync_window(w, seen, [&] {
+                    barrier.arriveAndWait(on_completion);
+                });
             }
 #if PCIESIM_PROFILING
             barrierSeen_[w] += seen;
@@ -553,6 +646,14 @@ std::uint64_t
 ParallelEngine::domainEvents(unsigned d) const
 {
     return d < domainEvents_.size() ? domainEvents_[d].value() : 0;
+}
+
+std::uint64_t
+ParallelEngine::activeWindows(unsigned d) const
+{
+    return d < domainActiveWindows_.size()
+               ? domainActiveWindows_[d].value()
+               : 0;
 }
 
 std::uint64_t

@@ -108,6 +108,8 @@ class ParallelEngine
     std::uint64_t windowsSynced() const;
     /** Events domain @p d executed inside engine windows. */
     std::uint64_t domainEvents(unsigned d) const;
+    /** Windows in which @p d executed at least one event. */
+    std::uint64_t activeWindows(unsigned d) const;
     /** Windows where @p d had pending work beyond the horizon but
      *  executed nothing (lookahead-limited). */
     std::uint64_t stallWindows(unsigned d) const;
@@ -175,7 +177,9 @@ class ParallelEngine
     void enterDomain(unsigned d);
     void leaveDomain();
 
-    /** One window of domain @p d: enter, run, classify, leave. */
+    /** One window of domain @p d: an idle domain (next event past
+     *  @p horizon) only classifies the window; a busy one enters,
+     *  runs, counts and leaves. */
     void runDomainWindow(unsigned d, Tick horizon);
 
     /** Estimated wall ns executing windows / waiting at barriers
@@ -220,10 +224,11 @@ class ParallelEngine
     stats::Formula execMsEstStat_;
     stats::Formula syncWaitMsEstStat_;
 
-    /** Raw accumulators behind the wall-time estimates. Windows
-     *  run / sampled / sampled-ns per domain; barrier waits per
-     *  worker (a worker's wait is sync overhead, not any single
-     *  domain's). Cumulative across stats epochs by design. */
+    /** Raw accumulators behind the wall-time estimates. Busy
+     *  windows run / sampled / sampled-ns per domain; barrier
+     *  waits per worker (a worker's wait is sync overhead, not any
+     *  single domain's; on one worker, the completion step).
+     *  Cumulative across stats epochs by design. */
     std::vector<std::uint64_t> windowsRun_;
     std::vector<std::uint64_t> execSampled_;
     std::vector<std::uint64_t> execNs_;

@@ -11,12 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "sim/event.hh"
 #include "sim/invariant.hh"
 #include "sim/parallel.hh"
+#include "sim/profiler.hh"
 #include "sim/simulation.hh"
 
 using namespace pciesim;
@@ -222,6 +226,99 @@ TEST(ParallelEngineTest, ThreadCountDoesNotChangePingPong)
         return fired;
     };
     EXPECT_EQ(run(1), run(4));
+}
+
+TEST(ParallelEngineTest, OversubscribedWorkersMatchOneWorker)
+{
+    // Sixteen domains on eight workers, two domains each. A token
+    // hops to another domain every quantum, so nearly every one of
+    // the thousands of windows holds one event and ends in a
+    // barrier that most workers reach with nothing done: the
+    // window barrier's arrive / complete / release cycle at its
+    // tightest. Each odd domain also holds one far-future event,
+    // so it stalls (pending work past the horizon) until that
+    // fires; even domains sit empty between token visits. Output
+    // and every engine counter must match the one-worker run.
+    constexpr unsigned domains = 16;
+    constexpr int hops = 3000;
+
+    struct Outcome
+    {
+        std::vector<std::vector<Tick>> fired;
+        std::vector<std::uint64_t> counters;
+        std::string stats;
+    };
+
+    auto run = [](unsigned threads) {
+        Simulation sim;
+        for (unsigned d = 1; d < domains; ++d)
+            sim.addDomain();
+        sim.setupParallel(threads, quantum);
+
+        // fired[d] is written only from domain d's own windows.
+        Outcome out;
+        out.fired.resize(domains);
+        std::function<void(unsigned, int)> hop = [&](unsigned d,
+                                                     int left) {
+            out.fired[d].push_back(sim.curTick());
+            if (left > 0) {
+                const unsigned next = (d + 5) % domains;
+                sim.callAt(next, sim.curTick() + quantum,
+                           [&hop, next, left] { hop(next, left - 1); });
+            }
+        };
+        EventFunctionWrapper start([&] { hop(0, hops); },
+                                   "test.start");
+        sim.domainQueue(0).schedule(&start, 0);
+        std::vector<std::unique_ptr<EventFunctionWrapper>> lone;
+        for (unsigned d = 1; d < domains; d += 2) {
+            lone.push_back(std::make_unique<EventFunctionWrapper>(
+                [&out, &sim, d] {
+                    out.fired[d].push_back(sim.curTick());
+                },
+                "test.lone"));
+            sim.domainQueue(d).schedule(lone.back().get(),
+                                        d * 150 * quantum + quantum / 2);
+        }
+        sim.run();
+
+        const ParallelEngine &eng = *sim.engine();
+        EXPECT_EQ(eng.threads(), threads);
+        out.counters.push_back(eng.windowsSynced());
+        for (unsigned d = 0; d < domains; ++d) {
+            out.counters.push_back(eng.domainEvents(d));
+            out.counters.push_back(eng.activeWindows(d));
+            out.counters.push_back(eng.stallWindows(d));
+            out.counters.push_back(eng.mailboxSent(d));
+            out.counters.push_back(eng.mailboxReceived(d));
+            for (unsigned src = 0; src < domains; ++src)
+                out.counters.push_back(eng.mailboxPair(src, d));
+        }
+        if (prof::compiledIn) {
+            EXPECT_GE(eng.windowsSynced(),
+                      static_cast<std::uint64_t>(hops));
+            for (unsigned d = 0; d < domains; ++d) {
+                if (d % 2 == 0)
+                    EXPECT_EQ(eng.stallWindows(d), 0u) << d;
+                else
+                    EXPECT_GT(eng.stallWindows(d), 0u) << d;
+            }
+        }
+        std::ostringstream os;
+        sim.statsRegistry().dumpJson(os, sim.curTick());
+        out.stats = os.str();
+        return out;
+    };
+
+    const Outcome one = run(1);
+    const Outcome eight = run(8);
+    std::size_t fires = 0;
+    for (const std::vector<Tick> &f : one.fired)
+        fires += f.size();
+    EXPECT_EQ(fires, static_cast<std::size_t>(hops + 1 + domains / 2));
+    EXPECT_EQ(one.fired, eight.fired);
+    EXPECT_EQ(one.counters, eight.counters);
+    EXPECT_EQ(one.stats, eight.stats);
 }
 
 TEST(ParallelEngineDeathTest, SubQuantumCrossDomainPostPanics)

@@ -13,10 +13,10 @@
 #   6. pciesim-report self-smoke: a diff of identical stats.json
 #      dumps must exit 0
 #   7. asan-ubsan preset: build + tier-1 ctest (pool poisoning live)
-#   8. tsan preset: bench_kernel --threads 4 --smoke and the
+#   8. tsan preset: bench_kernel --threads 4 --smoke, the
 #      parallel engine unit tests (16 domains on 8 workers
-#      included) under ThreadSanitizer (the engine's data-race
-#      gate)
+#      included) and the parallel telemetry unit tests under
+#      ThreadSanitizer (the engine's data-race gate)
 #   9. profiler overhead gate: the default build (profiler compiled
 #      in, disabled; parallel flight recorder live) within 5% of
 #      the notrace build (hook and recorder removed) — bench_fig9a
@@ -80,12 +80,13 @@ cmake --preset asan-ubsan >/dev/null
 cmake --build build-asan -j "$jobs"
 ctest --test-dir build-asan -LE tier2 -j "$jobs" --output-on-failure
 
-echo "== [8/9] tsan bench_kernel --smoke + parallel_engine_test =="
+echo "== [8/9] tsan bench_kernel --smoke + parallel engine tests =="
 cmake --preset tsan >/dev/null
 cmake --build build-tsan -j "$jobs" --target bench_kernel \
-    parallel_engine_test
+    parallel_engine_test parallel_telemetry_test
 ./build-tsan/bench/bench_kernel --smoke --json >/dev/null
 ./build-tsan/tests/parallel_engine_test
+./build-tsan/tests/parallel_telemetry_test
 
 echo "== [9/9] profiler overhead gate (vs notrace) =="
 cmake --preset notrace >/dev/null

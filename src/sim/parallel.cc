@@ -57,20 +57,23 @@ cpuRelax()
 
 /**
  * The engine's window barrier (DESIGN.md §10): one fetch_add per
- * arrival; the last arriver runs the completion step and publishes
- * it by bumping the generation word; everyone else polls that word
- * briefly and then parks on it. The arrival counter and the
- * generation word sit on separate cache lines, so arrivals never
- * invalidate the line the waiters poll.
+ * arrival. The last arriver returns at once and holds the barrier
+ * through the completion step (and any windows it runs inline)
+ * until it calls release(), which bumps the generation word;
+ * everyone else polls that word briefly and then parks on it. The
+ * arrival counter and the generation word sit on separate cache
+ * lines, so arrivals never invalidate the line the waiters poll.
  */
 class WindowBarrier
 {
   public:
     explicit WindowBarrier(unsigned count) : count_(count) {}
 
-    template <typename Completion>
-    void
-    arriveAndWait(Completion &&completion)
+    /** Arrive at the end of a window. @return true for the last
+     *  arriver, which must call release(); false for the others,
+     *  once released. */
+    bool
+    arrive()
     {
         // Read before arriving: the generation cannot move until
         // this worker's own arrival, and the release half of the
@@ -80,30 +83,36 @@ class WindowBarrier
         // acq_rel: release publishes this worker's window (its
         // outboxes, its domains' queues and telemetry slots); the
         // last arriver's acquire reads the whole release sequence
-        // of arrivals, so the completion step sees every window.
+        // of arrivals, so it sees every window.
         if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
             count_) {
-            // Nobody arrives again before the bump below, so the
-            // reset cannot race a next-window arrival.
+            // Nobody arrives again before release(), so the reset
+            // cannot race a next-window arrival.
             arrived_.store(0, std::memory_order_relaxed);
-            completion();
-            // Release: the drained mailboxes and the next window
-            // bounds happen-before every waiter's acquire below.
-            // Seq_cst on top, paired with the seq_cst wait: the
-            // notify skips its futex wake when it counts no parked
-            // waiter, and only with both sides seq_cst can that
-            // count not miss a waiter that still saw the old
-            // generation (DESIGN.md §10).
-            generation_.store(gen + 1, std::memory_order_seq_cst);
-            generation_.notify_all();
-            return;
+            return true;
         }
         for (unsigned i = 0; i < spinPolls; ++i) {
             if (generation_.load(std::memory_order_acquire) != gen)
-                return;
+                return false;
             cpuRelax();
         }
         generation_.wait(gen, std::memory_order_seq_cst);
+        return false;
+    }
+
+    /** Let the waiters go: called once by the last arriver. */
+    void
+    release()
+    {
+        // Release: the drained mailboxes, any inline windows and
+        // the next window bounds happen-before every waiter's
+        // acquire in arrive(). Seq_cst on top, paired with the
+        // seq_cst wait: the notify skips its futex wake when it
+        // counts no parked waiter, and only with both sides
+        // seq_cst can that count not miss a waiter that still saw
+        // the old generation (DESIGN.md §10).
+        generation_.fetch_add(1, std::memory_order_seq_cst);
+        generation_.notify_all();
     }
 
   private:
@@ -271,6 +280,14 @@ ParallelEngine::computeWindow(Tick max_tick)
         end = max_tick + 1;
     windowStart_ = global_min;
     windowEnd_ = end;
+    // Fan-out rule (DESIGN.md §10): hand the window to the workers
+    // only when more domains can run in it than there are workers.
+    unsigned runnable = 0;
+    for (EventQueue *q : queues_) {
+        if (q->nextTick() < end && ++runnable > threads_)
+            break;
+    }
+    fanOut_ = runnable > threads_;
 }
 
 void
@@ -431,49 +448,49 @@ ParallelEngine::run(Tick max_tick)
         sync();
     };
 
-    if (threads_ == 1) {
-        // Serial fast path: same window loop, same domain order,
-        // same keyed heap — so the output matches any thread count
-        // — but with no barrier and no thread spawn. This is what
-        // keeps the one-thread engine within a few percent of the
-        // legacy single-queue run. Its sync cost is the completion
-        // step itself, sampled like a barrier wait.
+    WindowBarrier barrier(threads_);
+
+    // Every worker runs its share of the first window and of every
+    // fanned-out one. The last to arrive runs the completion step
+    // and keeps the others parked while the next window is narrow:
+    // it runs every domain's window itself, in domain order, and
+    // releases the barrier only for a fanned-out window or the
+    // stop (DESIGN.md §10).
+    auto work = [&](unsigned w) {
         std::uint64_t seen = 0;
         while (!stop_.load(std::memory_order_relaxed)) {
             const Tick horizon = windowEnd_ - 1;
-            for (unsigned d = 0; d < nq; ++d)
+            for (unsigned d = w; d < nq; d += threads_)
                 runDomainWindow(d, horizon);
-            sync_window(0, seen, on_completion);
+            bool last = false;
+            sync_window(w, seen, [&] {
+                last = barrier.arrive();
+                if (last)
+                    on_completion();
+            });
+            if (!last)
+                continue;
+            while (!stop_.load(std::memory_order_relaxed) &&
+                   !fanOut_) {
+                const Tick inline_horizon = windowEnd_ - 1;
+                for (unsigned d = 0; d < nq; ++d)
+                    runDomainWindow(d, inline_horizon);
+                sync_window(w, seen, on_completion);
+            }
+            barrier.release();
         }
 #if PCIESIM_PROFILING
-        barrierSeen_[0] += seen;
+        barrierSeen_[w] += seen;
 #endif
-    } else {
-        WindowBarrier barrier(threads_);
+    };
 
-        auto work = [&](unsigned w) {
-            std::uint64_t seen = 0;
-            while (!stop_.load(std::memory_order_relaxed)) {
-                const Tick horizon = windowEnd_ - 1;
-                for (unsigned d = w; d < nq; d += threads_)
-                    runDomainWindow(d, horizon);
-                sync_window(w, seen, [&] {
-                    barrier.arriveAndWait(on_completion);
-                });
-            }
-#if PCIESIM_PROFILING
-            barrierSeen_[w] += seen;
-#endif
-        };
-
-        std::vector<std::thread> workers;
-        workers.reserve(threads_ - 1);
-        for (unsigned w = 1; w < threads_; ++w)
-            workers.emplace_back(work, w);
-        work(0);
-        for (std::thread &t : workers)
-            t.join();
-    }
+    std::vector<std::thread> workers;
+    workers.reserve(threads_ - 1);
+    for (unsigned w = 1; w < threads_; ++w)
+        workers.emplace_back(work, w);
+    work(0);
+    for (std::thread &t : workers)
+        t.join();
 
     par::activeEngine = nullptr;
     par::engineActive = false;

@@ -57,7 +57,9 @@ class ParallelEngine
      * @param quantum Minimum cross-domain link flight latency;
      *        must be > 0.
      * @param threads Requested worker count; clamped to the number
-     *        of domains. Domain d runs on worker d % threads.
+     *        of domains. In a fanned-out window domain d runs
+     *        on worker d % threads; the worker holding the
+     *        barrier runs narrow windows alone (DESIGN.md §10).
      */
     ParallelEngine(std::vector<EventQueue *> queues, Tick quantum,
                    unsigned threads);
@@ -199,12 +201,16 @@ class ParallelEngine
 
     Tick windowStart_ = 0;
     Tick windowEnd_ = 0;
+    /** Whether the current window has more runnable domains than
+     *  workers; written and read only by the completion step's
+     *  thread. */
+    bool fanOut_ = false;
     std::atomic<bool> stop_{false};
     bool tracing_ = false;
 
     /** @{ Telemetry state (DESIGN.md §14). The registered stats
      *  are written only from sanctioned single-writer contexts:
-     *  per-domain slots from the worker owning that domain's
+     *  per-domain slots from whichever worker runs that domain's
      *  window, totals from the barrier completion step. */
     /** Time 1 in this many windows (and barrier waits). */
     static constexpr std::uint64_t wallSamplePeriod = 16;
@@ -227,7 +233,8 @@ class ParallelEngine
     /** Raw accumulators behind the wall-time estimates. Busy
      *  windows run / sampled / sampled-ns per domain; barrier
      *  waits per worker (a worker's wait is sync overhead, not any
-     *  single domain's; on one worker, the completion step).
+     *  single domain's; for the last arriver, the completion
+     *  step).
      *  Cumulative across stats epochs by design. */
     std::vector<std::uint64_t> windowsRun_;
     std::vector<std::uint64_t> execSampled_;

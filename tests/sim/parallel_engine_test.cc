@@ -13,8 +13,10 @@
 
 #include <functional>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/event.hh"
@@ -42,6 +44,44 @@ struct TwoDomainSim
     }
 
     Simulation sim;
+};
+
+/** Every deterministic engine counter, flattened for comparison
+ *  across worker counts. */
+std::vector<std::uint64_t>
+engineCounters(const ParallelEngine &eng)
+{
+    const unsigned n = eng.numDomains();
+    std::vector<std::uint64_t> c{eng.windowsSynced()};
+    for (unsigned d = 0; d < n; ++d) {
+        c.push_back(eng.domainEvents(d));
+        c.push_back(eng.activeWindows(d));
+        c.push_back(eng.stallWindows(d));
+        c.push_back(eng.mailboxSent(d));
+        c.push_back(eng.mailboxReceived(d));
+        for (unsigned src = 0; src < n; ++src)
+            c.push_back(eng.mailboxPair(src, d));
+    }
+    return c;
+}
+
+std::string
+statsDump(Simulation &sim)
+{
+    std::ostringstream os;
+    sim.statsRegistry().dumpJson(os, sim.curTick());
+    return os.str();
+}
+
+/** What a run leaves behind: fire ticks per domain, the engine
+ *  counters, the stats dump (system.parallel.* included), and
+ *  the threads that fired the events of interest. */
+struct Outcome
+{
+    std::vector<std::vector<Tick>> fired;
+    std::vector<std::uint64_t> counters;
+    std::string stats;
+    std::set<std::thread::id> threads;
 };
 
 } // namespace
@@ -242,13 +282,6 @@ TEST(ParallelEngineTest, OversubscribedWorkersMatchOneWorker)
     constexpr unsigned domains = 16;
     constexpr int hops = 3000;
 
-    struct Outcome
-    {
-        std::vector<std::vector<Tick>> fired;
-        std::vector<std::uint64_t> counters;
-        std::string stats;
-    };
-
     auto run = [](unsigned threads) {
         Simulation sim;
         for (unsigned d = 1; d < domains; ++d)
@@ -284,16 +317,7 @@ TEST(ParallelEngineTest, OversubscribedWorkersMatchOneWorker)
 
         const ParallelEngine &eng = *sim.engine();
         EXPECT_EQ(eng.threads(), threads);
-        out.counters.push_back(eng.windowsSynced());
-        for (unsigned d = 0; d < domains; ++d) {
-            out.counters.push_back(eng.domainEvents(d));
-            out.counters.push_back(eng.activeWindows(d));
-            out.counters.push_back(eng.stallWindows(d));
-            out.counters.push_back(eng.mailboxSent(d));
-            out.counters.push_back(eng.mailboxReceived(d));
-            for (unsigned src = 0; src < domains; ++src)
-                out.counters.push_back(eng.mailboxPair(src, d));
-        }
+        out.counters = engineCounters(eng);
         if (prof::compiledIn) {
             EXPECT_GE(eng.windowsSynced(),
                       static_cast<std::uint64_t>(hops));
@@ -304,9 +328,7 @@ TEST(ParallelEngineTest, OversubscribedWorkersMatchOneWorker)
                     EXPECT_GT(eng.stallWindows(d), 0u) << d;
             }
         }
-        std::ostringstream os;
-        sim.statsRegistry().dumpJson(os, sim.curTick());
-        out.stats = os.str();
+        out.stats = statsDump(sim);
         return out;
     };
 
@@ -319,6 +341,150 @@ TEST(ParallelEngineTest, OversubscribedWorkersMatchOneWorker)
     EXPECT_EQ(one.fired, eight.fired);
     EXPECT_EQ(one.counters, eight.counters);
     EXPECT_EQ(one.stats, eight.stats);
+}
+
+TEST(ParallelEngineTest, NarrowWindowsRunInline)
+{
+    // Three domains on three workers: no window can have more
+    // runnable domains than workers, so after the first window
+    // (which every worker starts on its own share) the worker that
+    // closes it runs every later window inline and every event
+    // fires on that one thread. Three tokens hop round the ring
+    // with uneven delays, so windows hold one, two or three
+    // runnable domains. Output and every engine counter must match
+    // the one-worker run.
+    constexpr unsigned domains = 3;
+    constexpr int hops = 400;
+
+    auto run = [](unsigned threads) {
+        Simulation sim;
+        for (unsigned d = 1; d < domains; ++d)
+            sim.addDomain();
+        sim.setupParallel(threads, quantum);
+
+        // fired[d] and later[d] are written only from domain d's
+        // own windows; later[d] holds the thread ids of the fires
+        // after the first window, which ends at the quantum.
+        Outcome out;
+        out.fired.resize(domains);
+        std::vector<std::vector<std::thread::id>> later(domains);
+        std::function<void(unsigned, int)> hop = [&](unsigned d,
+                                                     int left) {
+            out.fired[d].push_back(sim.curTick());
+            if (sim.curTick() >= quantum)
+                later[d].push_back(std::this_thread::get_id());
+            if (left > 0) {
+                const unsigned next = (d + 1) % domains;
+                const Tick delay = quantum + (left * (d + 2) % 7) * 40;
+                sim.callAt(next, sim.curTick() + delay,
+                           [&hop, next, left] { hop(next, left - 1); });
+            }
+        };
+        std::vector<std::unique_ptr<EventFunctionWrapper>> starts;
+        for (unsigned d = 0; d < domains; ++d) {
+            starts.push_back(std::make_unique<EventFunctionWrapper>(
+                [&hop, d] { hop(d, hops); }, "test.start"));
+            sim.domainQueue(d).schedule(starts.back().get(), d * 40);
+        }
+        sim.run();
+
+        const ParallelEngine &eng = *sim.engine();
+        EXPECT_EQ(eng.threads(), threads);
+        out.counters = engineCounters(eng);
+        out.stats = statsDump(sim);
+        for (const std::vector<std::thread::id> &ids : later)
+            out.threads.insert(ids.begin(), ids.end());
+        return out;
+    };
+
+    const Outcome one = run(1);
+    const Outcome three = run(3);
+    std::size_t fires = 0;
+    for (const std::vector<Tick> &f : one.fired)
+        fires += f.size();
+    EXPECT_EQ(fires, static_cast<std::size_t>(domains * (hops + 1)));
+    EXPECT_EQ(three.threads.size(), 1u);
+    EXPECT_EQ(one.fired, three.fired);
+    EXPECT_EQ(one.counters, three.counters);
+    EXPECT_EQ(one.stats, three.stats);
+}
+
+TEST(ParallelEngineTest, WideAndNarrowWindowsInterleave)
+{
+    // Sixteen domains on four workers. A token fires alone in its
+    // window (run inline by one worker) and posts one event to
+    // every domain a quantum later, which makes the next window
+    // wide (sixteen runnable domains, fanned out), plus the token's
+    // next hop a quantum after that. Each wide event posts one echo
+    // to its neighbour, landing in the following wide window. So
+    // windows alternate narrow / wide, and cross-domain posts are
+    // made from both kinds. Output and every engine counter must
+    // match the one-worker run, and the wide windows must really
+    // run on several threads.
+    constexpr unsigned domains = 16;
+    constexpr int rounds = 150;
+
+    auto run = [](unsigned threads) {
+        Simulation sim;
+        for (unsigned d = 1; d < domains; ++d)
+            sim.addDomain();
+        sim.setupParallel(threads, quantum);
+
+        Outcome out;
+        out.fired.resize(domains);
+        // Thread ids of the wide events, per domain: each vector is
+        // written only from its domain's windows.
+        std::vector<std::vector<std::thread::id>> wide(domains);
+        std::function<void(unsigned, bool)> busy = [&](unsigned d,
+                                                       bool echo) {
+            out.fired[d].push_back(sim.curTick());
+            wide[d].push_back(std::this_thread::get_id());
+            if (!echo) {
+                const unsigned next = (d + 1) % domains;
+                sim.callAt(next, sim.curTick() + 2 * quantum,
+                           [&busy, next] { busy(next, true); });
+            }
+        };
+        std::function<void(unsigned, int)> token = [&](unsigned d,
+                                                       int left) {
+            out.fired[d].push_back(sim.curTick());
+            if (left == 0)
+                return;
+            const Tick at = sim.curTick() + quantum;
+            for (unsigned x = 0; x < domains; ++x)
+                sim.callAt(x, at, [&busy, x] { busy(x, false); });
+            const unsigned next = (d + 3) % domains;
+            sim.callAt(next, at + quantum,
+                       [&token, next, left] { token(next, left - 1); });
+        };
+        EventFunctionWrapper start([&] { token(0, rounds); },
+                                   "test.start");
+        sim.domainQueue(0).schedule(&start, 0);
+        sim.run();
+
+        const ParallelEngine &eng = *sim.engine();
+        EXPECT_EQ(eng.threads(), threads);
+        out.counters = engineCounters(eng);
+        out.stats = statsDump(sim);
+        for (const std::vector<std::thread::id> &ids : wide)
+            out.threads.insert(ids.begin(), ids.end());
+        return out;
+    };
+
+    const Outcome one = run(1);
+    const Outcome four = run(4);
+    std::size_t fires = 0;
+    for (const std::vector<Tick> &f : one.fired)
+        fires += f.size();
+    // rounds + 1 token fires, each but the last spawning sixteen
+    // wide events and their sixteen echoes.
+    EXPECT_EQ(fires, static_cast<std::size_t>(rounds + 1 +
+                                              rounds * domains * 2));
+    EXPECT_EQ(one.threads.size(), 1u);
+    EXPECT_GT(four.threads.size(), 1u);
+    EXPECT_EQ(one.fired, four.fired);
+    EXPECT_EQ(one.counters, four.counters);
+    EXPECT_EQ(one.stats, four.stats);
 }
 
 TEST(ParallelEngineDeathTest, SubQuantumCrossDomainPostPanics)

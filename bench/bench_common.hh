@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/json.hh"
 #include "sim/parallel.hh"
 #include "sim/profiler.hh"
 #include "sim/trace.hh"
@@ -232,20 +233,6 @@ blockLabel(std::uint64_t bytes)
     return buf;
 }
 
-/** JSON string escaping for the (plain ASCII) labels benches use. */
-inline std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 /**
  * Extra JSON fields for a bench record while the profiler is on:
  * exact event attribution counts plus the top hot spots, compact
@@ -269,7 +256,7 @@ profilerRecordFields(std::size_t top_n = 8)
         char est[32];
         std::snprintf(est, sizeof(est), "%.3f", h.estMs());
         os << (shown++ ? ", " : "") << "{\"name\": \""
-           << jsonEscape(h.name) << "\", \"count\": " << h.count
+           << json::escape(h.name) << "\", \"count\": " << h.count
            << ", \"estMs\": " << est << "}";
     }
     os << "]";
@@ -307,8 +294,8 @@ class JsonEmitter
                     "\"events_per_sec\": %.0f, "
                     "\"lat_p50_ns\": %.3f, \"lat_p95_ns\": %.3f, "
                     "\"lat_p99_ns\": %.3f%s}\n",
-                    jsonEscape(bench_).c_str(),
-                    jsonEscape(config).c_str(), r.gbps,
+                    json::escape(bench_).c_str(),
+                    json::escape(config).c_str(), r.gbps,
                     r.replayFraction, r.timeoutFraction, r.wall_ms,
                     r.events_per_sec, r.latP50Ns, r.latP95Ns,
                     r.latP99Ns, profilerRecordFields().c_str());
@@ -323,8 +310,8 @@ class JsonEmitter
         if (!enabled_)
             return;
         std::printf("{\"bench\": \"%s\", \"config\": \"%s\"",
-                    jsonEscape(bench_).c_str(),
-                    jsonEscape(config).c_str());
+                    json::escape(bench_).c_str(),
+                    json::escape(config).c_str());
         for (const auto &[key, value] : fields)
             std::printf(", \"%s\": %.6f", key, value);
         std::printf("%s}\n", profilerRecordFields().c_str());

@@ -5,219 +5,22 @@
  * to parse as one JSON object — the bench --json record convention.
  * With --whole, the entire file must parse as a single JSON value —
  * the stats.json convention. Exits 0 on success, 1 with a
- * diagnostic otherwise.
+ * "<file>:<line>: <what>" diagnostic otherwise.
  *
- * A real recursive-descent parser (not a regex) so the smoke tests
- * genuinely prove that "--json output parses": a bench emitting
- * NaN, a bare trailing comma, or an unescaped quote fails here.
+ * Uses the tree's RFC 8259 reader (src/sim/json), not a regex, so
+ * the smoke tests genuinely prove that "--json output parses": a
+ * bench emitting NaN, a bare trailing comma, or an unescaped quote
+ * fails here.
  */
 
-#include <cctype>
 #include <cstdio>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
 
-namespace
-{
+#include "sim/json.hh"
 
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : text_(text) {}
-
-    /** Parse one complete JSON value spanning the whole input. */
-    bool
-    parse(std::string &error)
-    {
-        pos_ = 0;
-        if (!parseValue(error))
-            return false;
-        skipSpace();
-        if (pos_ != text_.size()) {
-            error = "trailing characters at offset " +
-                    std::to_string(pos_);
-            return false;
-        }
-        return true;
-    }
-
-  private:
-    bool
-    fail(std::string &error, const std::string &what)
-    {
-        error = what + " at offset " + std::to_string(pos_);
-        return false;
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    parseValue(std::string &error)
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            return fail(error, "unexpected end of input");
-        char c = text_[pos_];
-        if (c == '{')
-            return parseObject(error);
-        if (c == '[')
-            return parseArray(error);
-        if (c == '"')
-            return parseString(error);
-        if (c == '-' || std::isdigit(static_cast<unsigned char>(c)))
-            return parseNumber(error);
-        if (parseLiteral("true") || parseLiteral("false") ||
-            parseLiteral("null"))
-            return true;
-        return fail(error, "unexpected character");
-    }
-
-    bool
-    parseLiteral(const char *lit)
-    {
-        std::size_t n = std::string(lit).size();
-        if (text_.compare(pos_, n, lit) == 0) {
-            pos_ += n;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    parseObject(std::string &error)
-    {
-        ++pos_; // '{'
-        if (consume('}'))
-            return true;
-        while (true) {
-            skipSpace();
-            if (pos_ >= text_.size() || text_[pos_] != '"')
-                return fail(error, "expected object key");
-            if (!parseString(error))
-                return false;
-            if (!consume(':'))
-                return fail(error, "expected ':'");
-            if (!parseValue(error))
-                return false;
-            if (consume('}'))
-                return true;
-            if (!consume(','))
-                return fail(error, "expected ',' or '}'");
-        }
-    }
-
-    bool
-    parseArray(std::string &error)
-    {
-        ++pos_; // '['
-        if (consume(']'))
-            return true;
-        while (true) {
-            if (!parseValue(error))
-                return false;
-            if (consume(']'))
-                return true;
-            if (!consume(','))
-                return fail(error, "expected ',' or ']'");
-        }
-    }
-
-    bool
-    parseString(std::string &error)
-    {
-        ++pos_; // '"'
-        while (pos_ < text_.size()) {
-            char c = text_[pos_];
-            if (c == '"') {
-                ++pos_;
-                return true;
-            }
-            if (c == '\\') {
-                ++pos_;
-                if (pos_ >= text_.size())
-                    break;
-                char e = text_[pos_];
-                if (e == 'u') {
-                    for (int i = 0; i < 4; ++i) {
-                        ++pos_;
-                        if (pos_ >= text_.size() ||
-                            !std::isxdigit(static_cast<unsigned char>(
-                                text_[pos_])))
-                            return fail(error, "bad \\u escape");
-                    }
-                } else if (std::string("\"\\/bfnrt").find(e) ==
-                           std::string::npos) {
-                    return fail(error, "bad escape");
-                }
-            }
-            ++pos_;
-        }
-        return fail(error, "unterminated string");
-    }
-
-    bool
-    parseNumber(std::string &error)
-    {
-        std::size_t start = pos_;
-        if (text_[pos_] == '-')
-            ++pos_;
-        if (pos_ >= text_.size() ||
-            !std::isdigit(static_cast<unsigned char>(text_[pos_])))
-            return fail(error, "bad number");
-        while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-        if (pos_ < text_.size() && text_[pos_] == '.') {
-            ++pos_;
-            if (pos_ >= text_.size() ||
-                !std::isdigit(static_cast<unsigned char>(text_[pos_])))
-                return fail(error, "bad fraction");
-            while (pos_ < text_.size() &&
-                   std::isdigit(
-                       static_cast<unsigned char>(text_[pos_])))
-                ++pos_;
-        }
-        if (pos_ < text_.size() &&
-            (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < text_.size() &&
-                (text_[pos_] == '+' || text_[pos_] == '-'))
-                ++pos_;
-            if (pos_ >= text_.size() ||
-                !std::isdigit(static_cast<unsigned char>(text_[pos_])))
-                return fail(error, "bad exponent");
-            while (pos_ < text_.size() &&
-                   std::isdigit(
-                       static_cast<unsigned char>(text_[pos_])))
-                ++pos_;
-        }
-        return pos_ > start;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
-
-} // namespace
+using namespace pciesim;
 
 int
 main(int argc, char **argv)
@@ -244,15 +47,14 @@ main(int argc, char **argv)
         return 2;
     }
 
+    json::Value doc;
+    json::Error err;
     if (whole) {
         std::ostringstream ss;
         ss << in.rdbuf();
-        std::string text = ss.str();
-        std::string error;
-        JsonParser parser(text);
-        if (!parser.parse(error)) {
-            std::fprintf(stderr, "json_validate: %s: %s\n", path,
-                         error.c_str());
+        if (!json::parse(ss.str(), doc, err)) {
+            std::fprintf(stderr, "json_validate: %s:%u: %s\n", path,
+                         err.line, err.what.c_str());
             return 1;
         }
         std::printf("json_validate: whole-file document ok\n");
@@ -266,13 +68,16 @@ main(int argc, char **argv)
         ++lineno;
         if (line.find_first_not_of(" \t\r") == std::string::npos)
             continue;
-        std::string error;
-        JsonParser parser(line);
-        if (!parser.parse(error)) {
+        if (!json::parse(line, doc, err)) {
+            std::fprintf(stderr, "json_validate: %s:%zu: %s\n  %s\n",
+                         path, lineno, err.what.c_str(), line.c_str());
+            return 1;
+        }
+        if (doc.type != json::Value::Type::Object) {
             std::fprintf(stderr,
-                         "json_validate: %s:%zu: %s\n  %s\n",
-                         path, lineno, error.c_str(),
-                         line.c_str());
+                         "json_validate: %s:%zu: record is a %s, "
+                         "not an object\n  %s\n",
+                         path, lineno, doc.typeName(), line.c_str());
             return 1;
         }
         ++objects;

@@ -3,7 +3,8 @@
 #   1. a dd bench exports stats.json (profiled, timing zeroed)
 #   2. the export parses as one whole-file JSON document
 #   3. `pciesim-report diff` of identical dumps exits 0
-#   4. an injected counter regression makes the diff exit nonzero
+#   4. an injected counter regression makes the diff exit nonzero,
+#      and a truncated dump makes it exit nonzero citing file:line
 #   5. `pciesim-report top` renders the embedded profiler section
 #   6. `pciesim-report trajectory` renders the bench records and
 #      the checked-in BENCH_*.json history (TRAJ, plus the
@@ -72,6 +73,30 @@ if(NOT rv EQUAL 1)
     message(FATAL_ERROR
         "pciesim-report diff missed an injected regression "
         "(exit ${rv}, want 1)")
+endif()
+
+# Truncate the dump mid-document: the reader's error must name the
+# file and a line on stderr.
+string(LENGTH "${dump}" dump_len)
+math(EXPR half "${dump_len} / 2")
+string(SUBSTRING "${dump}" 0 ${half} dump_truncated)
+file(WRITE "${WORK}_trunc.json" "${dump_truncated}")
+
+execute_process(
+    COMMAND "${REPORT_BIN}" diff "${WORK}_a.json" "${WORK}_trunc.json"
+    RESULT_VARIABLE rv
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+)
+if(rv EQUAL 0)
+    message(FATAL_ERROR
+        "pciesim-report diff accepted a truncated dump")
+endif()
+string(FIND "${err}" "${WORK}_trunc.json:" cited)
+if(cited EQUAL -1 OR NOT err MATCHES "_trunc\\.json:[0-9]+: ")
+    message(FATAL_ERROR
+        "pciesim-report diff on a truncated dump did not cite "
+        "file:line: ${err}")
 endif()
 
 execute_process(

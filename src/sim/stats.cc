@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <iomanip>
 #include <locale>
 #include <sstream>
 
 #include "invariant.hh"
+#include "json.hh"
 #include "logging.hh"
 #include "profiler.hh"
 
@@ -410,29 +410,11 @@ writeDescSuffix(std::ostream &os, const std::string &desc)
     os << "\n";
 }
 
-/** JSON-escape the simulator's stat names and descriptions. */
+/** A quoted JSON string for the simulator's names and descriptions. */
 void
 writeJsonString(std::ostream &os, const std::string &s)
 {
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
+    os << '"' << json::escape(s) << '"';
 }
 
 /** Finite, locale-independent JSON number (NaN/inf become 0). */

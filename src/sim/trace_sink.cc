@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "json.hh"
 #include "logging.hh"
 
 namespace pciesim::trace
@@ -86,31 +87,6 @@ ChromeTraceSink::~ChromeTraceSink()
 }
 
 std::string
-ChromeTraceSink::escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
 ChromeTraceSink::tsField(Tick tick)
 {
     // Chrome timestamps are microseconds; ticks are picoseconds.
@@ -123,13 +99,13 @@ ChromeTraceSink::tsField(Tick tick)
 }
 
 void
-ChromeTraceSink::emit(const std::string &json)
+ChromeTraceSink::emit(const std::string &record)
 {
     if (closed_)
         return;
     if (eventsWritten_ > 0)
         os_ << ",";
-    os_ << "\n" << json;
+    os_ << "\n" << record;
     ++eventsWritten_;
 }
 
@@ -143,7 +119,7 @@ ChromeTraceSink::tidFor(const std::string &track)
     tids_.emplace(track, tid);
     emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
          "\"tid\":" + std::to_string(tid) +
-         ",\"args\":{\"name\":\"" + escape(track) + "\"}}");
+         ",\"args\":{\"name\":\"" + json::escape(track) + "\"}}");
     return tid;
 }
 
@@ -152,7 +128,7 @@ ChromeTraceSink::message(Tick tick, const std::string &track,
                          const char *cat, const std::string &text)
 {
     int tid = tidFor(track);
-    emit("{\"name\":\"" + escape(text) + "\",\"cat\":\"" +
+    emit("{\"name\":\"" + json::escape(text) + "\",\"cat\":\"" +
          std::string(cat) + "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" +
          tsField(tick) + ",\"pid\":0,\"tid\":" +
          std::to_string(tid) + "}");
@@ -163,7 +139,7 @@ ChromeTraceSink::begin(Tick tick, const std::string &track,
                        const char *cat, const std::string &name)
 {
     int tid = tidFor(track);
-    emit("{\"name\":\"" + escape(name) + "\",\"cat\":\"" +
+    emit("{\"name\":\"" + json::escape(name) + "\",\"cat\":\"" +
          std::string(cat) + "\",\"ph\":\"B\",\"ts\":" +
          tsField(tick) + ",\"pid\":0,\"tid\":" +
          std::to_string(tid) + "}");
@@ -185,7 +161,7 @@ ChromeTraceSink::complete(Tick start, Tick duration,
                           const char *cat, const std::string &name)
 {
     int tid = tidFor(track);
-    emit("{\"name\":\"" + escape(name) + "\",\"cat\":\"" +
+    emit("{\"name\":\"" + json::escape(name) + "\",\"cat\":\"" +
          std::string(cat) + "\",\"ph\":\"X\",\"ts\":" +
          tsField(start) + ",\"dur\":" + tsField(duration) +
          ",\"pid\":0,\"tid\":" + std::to_string(tid) + "}");
@@ -199,7 +175,7 @@ ChromeTraceSink::counter(Tick tick, const std::string &track,
     int tid = tidFor(track);
     char val[48];
     std::snprintf(val, sizeof(val), "%.9g", value);
-    emit("{\"name\":\"" + escape(series) + "\",\"cat\":\"" +
+    emit("{\"name\":\"" + json::escape(series) + "\",\"cat\":\"" +
          std::string(cat) + "\",\"ph\":\"C\",\"ts\":" +
          tsField(tick) + ",\"pid\":0,\"tid\":" +
          std::to_string(tid) + ",\"args\":{\"value\":" +

@@ -133,8 +133,7 @@ class ChromeTraceSink : public Sink
 
   private:
     int tidFor(const std::string &track);
-    void emit(const std::string &json);
-    static std::string escape(const std::string &s);
+    void emit(const std::string &record);
     static std::string tsField(Tick tick);
 
     std::ofstream os_;

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 
 #include "os/mmio_probe.hh"
@@ -17,8 +20,6 @@ namespace pciesim
 namespace
 {
 
-using topo::Json;
-
 [[noreturn]] void
 jfail(const std::string &src, unsigned line, const std::string &what)
 {
@@ -29,57 +30,69 @@ jfail(const std::string &src, unsigned line, const std::string &what)
 
 double
 needNum(const std::string &src, const std::string &key,
-        const Json &v)
+        const json::Value &v)
 {
-    if (v.type != Json::Type::Number)
+    if (v.type != json::Value::Type::Number)
         jfail(src, v.line, "key '" + key + "' must be a number");
     return v.number;
 }
 
+/** Most nodes a document may expand to (count included). */
+constexpr std::uint64_t maxFabricNodes = 65536;
+
+/** A non-negative integer of at most @p max (default: 32 bits). */
 std::uint64_t
 needUInt(const std::string &src, const std::string &key,
-         const Json &v)
+         const json::Value &v, std::uint64_t max = UINT32_MAX)
 {
     double d = needNum(src, key, v);
-    if (d < 0 || d != static_cast<double>(
-                          static_cast<std::uint64_t>(d))) {
+    if (d < 0 || d != std::floor(d)) {
         jfail(src, v.line,
               "key '" + key + "' must be a non-negative integer");
+    }
+    // For a 64-bit max the sum rounds to 2^64, the first value the
+    // cast below cannot represent.
+    if (d >= static_cast<double>(max) + 1.0) {
+        jfail(src, v.line, "key '" + key + "' must be at most " +
+                               std::to_string(max));
     }
     return static_cast<std::uint64_t>(d);
 }
 
 Tick
 needNsTick(const std::string &src, const std::string &key,
-           const Json &v)
+           const json::Value &v)
 {
     double d = needNum(src, key, v);
     if (d < 0)
         jfail(src, v.line, "key '" + key + "' must be >= 0");
-    return static_cast<Tick>(d * static_cast<double>(tickPerNs));
+    double ticks = d * static_cast<double>(tickPerNs);
+    if (ticks >= 0x1p64)
+        jfail(src, v.line, "key '" + key + "' is out of range");
+    return static_cast<Tick>(ticks);
 }
 
 bool
 needBool(const std::string &src, const std::string &key,
-         const Json &v)
+         const json::Value &v)
 {
-    if (v.type != Json::Type::Bool)
+    if (v.type != json::Value::Type::Bool)
         jfail(src, v.line, "key '" + key + "' must be a bool");
     return v.boolean;
 }
 
 std::string
 needStr(const std::string &src, const std::string &key,
-        const Json &v)
+        const json::Value &v)
 {
-    if (v.type != Json::Type::String)
+    if (v.type != json::Value::Type::String)
         jfail(src, v.line, "key '" + key + "' must be a string");
     return v.str;
 }
 
 void
 applyConfigKey(SystemConfig &c, const std::string &src,
-               const std::string &key, const Json &v)
+               const std::string &key, const json::Value &v)
 {
     if (key == "gen") {
         std::uint64_t g = needUInt(src, key, v);
@@ -114,7 +127,7 @@ applyConfigKey(SystemConfig &c, const std::string &src,
     } else if (key == "link_bit_error_rate") {
         c.linkBitErrorRate = needNum(src, key, v);
     } else if (key == "fault_seed") {
-        c.faultSeed = needUInt(src, key, v);
+        c.faultSeed = needUInt(src, key, v, UINT64_MAX);
     } else if (key == "enable_nak") {
         c.enableNak = needBool(src, key, v);
     } else if (key == "retrain_latency_ns") {
@@ -135,7 +148,7 @@ applyConfigKey(SystemConfig &c, const std::string &src,
     } else if (key == "upconfigure_delay_ns") {
         c.upconfigureDelay = needNsTick(src, key, v);
     } else if (key == "unplug_at_chunk") {
-        c.unplugAtChunk = needUInt(src, key, v);
+        c.unplugAtChunk = needUInt(src, key, v, UINT64_MAX);
     } else if (key == "replug_delay_ns") {
         c.replugDelay = needNsTick(src, key, v);
     } else if (key == "threads") {
@@ -160,9 +173,9 @@ applyConfigKey(SystemConfig &c, const std::string &src,
 }
 
 FabricLinkDesc
-parseLinkDesc(const std::string &src, const Json &v)
+parseLinkDesc(const std::string &src, const json::Value &v)
 {
-    if (v.type != Json::Type::Object)
+    if (v.type != json::Value::Type::Object)
         jfail(src, v.line, "key 'link' must be an object");
     FabricLinkDesc link;
     for (const auto &[key, lv] : v.obj) {
@@ -192,9 +205,9 @@ struct RawNode
 };
 
 RawNode
-parseNodeDesc(const std::string &src, const Json &v)
+parseNodeDesc(const std::string &src, const json::Value &v)
 {
-    if (v.type != Json::Type::Object)
+    if (v.type != json::Value::Type::Object)
         jfail(src, v.line, "each node must be an object");
     RawNode raw;
     FabricNodeDesc &n = raw.node;
@@ -207,8 +220,8 @@ parseNodeDesc(const std::string &src, const Json &v)
         } else if (key == "parent") {
             n.parent = needStr(src, key, nv);
         } else if (key == "count") {
-            raw.count =
-                static_cast<unsigned>(needUInt(src, key, nv));
+            raw.count = static_cast<unsigned>(
+                needUInt(src, key, nv, maxFabricNodes));
             if (raw.count == 0)
                 jfail(src, nv.line, "node count must be >= 1");
         } else if (key == "link") {
@@ -249,11 +262,11 @@ parseNodeDesc(const std::string &src, const Json &v)
 } // namespace
 
 FabricDesc
-parseFabricDesc(const Json &root, const std::string &source)
+parseFabricDesc(const json::Value &root, const std::string &source)
 {
     FabricDesc desc;
     desc.source = source;
-    if (root.type != Json::Type::Object)
+    if (root.type != json::Value::Type::Object)
         jfail(source, root.line, "document must be an object");
 
     std::vector<RawNode> raw;
@@ -269,14 +282,14 @@ parseFabricDesc(const Json &root, const std::string &source)
         } else if (key == "system_stats") {
             desc.systemStats = needBool(source, key, v);
         } else if (key == "config") {
-            if (v.type != Json::Type::Object) {
+            if (v.type != json::Value::Type::Object) {
                 jfail(source, v.line,
                       "key 'config' must be an object");
             }
             for (const auto &[ck, cv] : v.obj)
                 applyConfigKey(desc.config, source, ck, cv);
         } else if (key == "traffic_gen") {
-            if (v.type != Json::Type::Object) {
+            if (v.type != json::Value::Type::Object) {
                 jfail(source, v.line,
                       "key 'traffic_gen' must be an object");
             }
@@ -294,9 +307,9 @@ parseFabricDesc(const Json &root, const std::string &source)
                 }
             }
         } else if (key == "nodes") {
-            if (v.type != Json::Type::Array)
+            if (v.type != json::Value::Type::Array)
                 jfail(source, v.line, "key 'nodes' must be an array");
-            for (const Json &nv : v.arr)
+            for (const json::Value &nv : v.arr)
                 raw.push_back(parseNodeDesc(source, nv));
         } else {
             jfail(source, v.line, "unknown key '" + key + "'");
@@ -308,6 +321,11 @@ parseFabricDesc(const Json &root, const std::string &source)
     // parent are distributed round-robin across it.
     std::map<std::string, unsigned> groups;
     for (const RawNode &r : raw) {
+        if (desc.nodes.size() + r.count > maxFabricNodes) {
+            jfail(source, r.node.sourceLine,
+                  "the topology expands to more than " +
+                      std::to_string(maxFabricNodes) + " nodes");
+        }
         if (r.count == 1) {
             desc.nodes.push_back(r.node);
             continue;
@@ -333,10 +351,29 @@ parseFabricDesc(const Json &root, const std::string &source)
     return desc;
 }
 
+namespace topo
+{
+
+json::Value
+parseJson(const std::string &text, const std::string &source)
+{
+    json::Value root;
+    json::Error err;
+    if (!json::parse(text, root, err))
+        fatal("topology ", source, ":", err.line, ": ", err.what);
+    return root;
+}
+
+} // namespace topo
+
 FabricDesc
 loadFabricDesc(const std::string &path)
 {
-    return parseFabricDesc(topo::loadJsonFile(path), path);
+    std::ifstream in(path);
+    fatalIf(!in.good(), "topology ", path, ": cannot open file");
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return parseFabricDesc(topo::parseJson(ss.str(), path), path);
 }
 
 //
@@ -496,10 +533,13 @@ Fabric::validate()
         return;
     }
 
-    fatalIf(rootChildren_.size() > 8, "topology ", desc_.source,
-            ": ", rootChildren_.size(), " devices attached to the "
-            "root complex, which supports at most 8 root ports; "
-            "put a switch level in between");
+    if (rootChildren_.size() > 8) {
+        failNode(nodes_[rootChildren_[8]].desc,
+                 std::to_string(rootChildren_.size()) +
+                     " devices attached to the root complex, which "
+                     "supports at most 8 root ports; put a switch "
+                     "level in between");
+    }
 
     if (!desc_.enumerate) {
         fatalIf(config.aerEnabled, "topology ", desc_.source,
@@ -537,13 +577,20 @@ Fabric::validate()
             kids[nodes_[i].parentIndex].push_back(
                 static_cast<int>(i));
     }
+    // The overflow cites the switch (or root port's child) whose
+    // bridges ran out of bus numbers.
     unsigned counter = 0;
-    auto next_bus = [&]() {
+    auto next_bus = [&](const Node *owner) {
         ++counter;
-        fatalIf(counter > 255, "topology ", desc_.source,
-                ": the tree needs more than 255 buses; set "
-                "\"enumerate\": false to build it without "
-                "configuration-space enumeration");
+        if (counter > 255) {
+            std::string what = "the tree needs more than 255 buses; "
+                               "set \"enumerate\": false to build it "
+                               "without configuration-space "
+                               "enumeration";
+            if (owner != nullptr)
+                failNode(owner->desc, what);
+            fatal("topology ", desc_.source, ": ", what);
+        }
         return counter;
     };
     std::function<void(int, unsigned)> assign =
@@ -552,12 +599,12 @@ Fabric::validate()
             n.bdf = Bdf{static_cast<std::uint8_t>(bus), 0, 0};
             if (n.desc.kind != "switch")
                 return;
-            n.internalBus = next_bus();
+            n.internalBus = next_bus(&n);
             std::vector<int> at_port(n.ports, -1);
             for (int k : kids[idx])
                 at_port[nodes_[k].portOnParent] = k;
             for (unsigned j = 0; j < n.ports; ++j) {
-                unsigned child_bus = next_bus();
+                unsigned child_bus = next_bus(&n);
                 if (at_port[j] >= 0)
                     assign(at_port[j], child_bus);
             }
@@ -565,8 +612,10 @@ Fabric::validate()
     unsigned num_root_ports = std::max<unsigned>(
         3, static_cast<unsigned>(rootChildren_.size()));
     for (unsigned i = 0; i < num_root_ports; ++i) {
-        unsigned bus = next_bus();
-        if (i < rootChildren_.size())
+        bool used = i < rootChildren_.size();
+        unsigned bus =
+            next_bus(used ? &nodes_[rootChildren_[i]] : nullptr);
+        if (used)
             assign(rootChildren_[i], bus);
     }
 }

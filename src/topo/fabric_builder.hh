@@ -33,10 +33,10 @@
 #include "os/e1000e_driver.hh"
 #include "pci/pci_host.hh"
 #include "pcie/err_reporter.hh"
+#include "sim/json.hh"
 #include "sim/stats_dumper.hh"
 #include "sim/stats_sampler.hh"
 #include "topo/system_config.hh"
-#include "topo/topo_parser.hh"
 
 namespace pciesim
 {
@@ -128,13 +128,24 @@ struct FabricDesc
     std::vector<FabricNodeDesc> nodes;
 };
 
+namespace topo
+{
+
+/**
+ * Parse @p text as a topology document. A syntax error is a
+ * fatal("topology <source>:<line>: <what>").
+ */
+json::Value parseJson(const std::string &text, const std::string &source);
+
+} // namespace topo
+
 /**
  * Validate and convert a parsed topology document into a
  * FabricDesc. Unknown keys, bad types, out-of-range values,
  * duplicate names, and unresolvable parents are fatal() errors
  * citing @p source and the offending line.
  */
-FabricDesc parseFabricDesc(const topo::Json &root,
+FabricDesc parseFabricDesc(const json::Value &root,
                            const std::string &source);
 
 /** Load a topology JSON file into a FabricDesc. */

@@ -9,12 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "sim/json.hh"
 #include "sim/trace.hh"
 #include "topo/storage_system.hh"
 
@@ -23,187 +23,16 @@ using namespace pciesim;
 namespace
 {
 
-/**
- * A strict (if minimal) recursive-descent JSON parser: accepts
- * exactly the RFC 8259 grammar the Chrome trace loader needs and
- * rejects anything else (trailing commas, unterminated strings,
- * bare words). Validation only; no DOM is built.
- */
-class JsonChecker
+/** The syntax error json::parse finds in @p text; "" if none. */
+std::string
+jsonError(const std::string &text)
 {
-  public:
-    explicit JsonChecker(const std::string &text) : s_(text) {}
-
-    bool
-    valid()
-    {
-        skipWs();
-        if (!value())
-            return false;
-        skipWs();
-        return pos_ == s_.size();
-    }
-
-  private:
-    bool
-    value()
-    {
-        if (pos_ >= s_.size())
-            return false;
-        switch (s_[pos_]) {
-          case '{': return object();
-          case '[': return array();
-          case '"': return string();
-          case 't': return literal("true");
-          case 'f': return literal("false");
-          case 'n': return literal("null");
-          default: return number();
-        }
-    }
-
-    bool
-    object()
-    {
-        ++pos_; // '{'
-        skipWs();
-        if (peek() == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (!string())
-                return false;
-            skipWs();
-            if (peek() != ':')
-                return false;
-            ++pos_;
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == '}') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    array()
-    {
-        ++pos_; // '['
-        skipWs();
-        if (peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == ']') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    string()
-    {
-        if (peek() != '"')
-            return false;
-        ++pos_;
-        while (pos_ < s_.size()) {
-            char c = s_[pos_];
-            if (c == '"') {
-                ++pos_;
-                return true;
-            }
-            if (c == '\\') {
-                ++pos_;
-                if (pos_ >= s_.size())
-                    return false;
-                char e = s_[pos_];
-                if (e == 'u') {
-                    for (int i = 0; i < 4; ++i) {
-                        ++pos_;
-                        if (pos_ >= s_.size() ||
-                            !std::isxdigit(
-                                static_cast<unsigned char>(s_[pos_])))
-                            return false;
-                    }
-                } else if (std::string("\"\\/bfnrt").find(e) ==
-                           std::string::npos) {
-                    return false;
-                }
-            } else if (static_cast<unsigned char>(c) < 0x20) {
-                return false;
-            }
-            ++pos_;
-        }
-        return false;
-    }
-
-    bool
-    number()
-    {
-        std::size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        while (std::isdigit(static_cast<unsigned char>(peek())))
-            ++pos_;
-        if (peek() == '.') {
-            ++pos_;
-            while (std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos_;
-        }
-        if (peek() == 'e' || peek() == 'E') {
-            ++pos_;
-            if (peek() == '+' || peek() == '-')
-                ++pos_;
-            while (std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos_;
-        }
-        return pos_ > start;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        std::size_t n = std::string(word).size();
-        if (s_.compare(pos_, n, word) != 0)
-            return false;
-        pos_ += n;
-        return true;
-    }
-
-    char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-
-    void
-    skipWs()
-    {
-        while (pos_ < s_.size() &&
-               (s_[pos_] == ' ' || s_[pos_] == '\n' ||
-                s_[pos_] == '\t' || s_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    const std::string &s_;
-    std::size_t pos_ = 0;
-};
+    json::Value doc;
+    json::Error err;
+    if (json::parse(text, doc, err))
+        return "";
+    return std::to_string(err.line) + ": " + err.what;
+}
 
 std::string
 slurp(const std::string &path)
@@ -319,8 +148,7 @@ TEST(TraceChromeSink, ProducesValidJson)
         EXPECT_EQ(sink.eventsWritten(), 8u); // 5 + 3 thread_name
     }
     std::string text = slurp(path);
-    JsonChecker checker(text);
-    EXPECT_TRUE(checker.valid()) << text;
+    EXPECT_EQ(jsonError(text), "") << text;
     // Spans carry the right phase and category markers.
     EXPECT_NE(text.find("\"ph\":\"B\""), std::string::npos);
     EXPECT_NE(text.find("\"ph\":\"E\""), std::string::npos);
@@ -354,8 +182,7 @@ TEST(TraceChromeSink, DdRunProducesLinkAndDmaSpans)
     trace::closeSinks();
 
     std::string text = slurp(path);
-    JsonChecker checker(text);
-    ASSERT_TRUE(checker.valid());
+    ASSERT_EQ(jsonError(text), "");
     // Wire occupancy: complete events on the Link flag.
     EXPECT_GT(countOccurrences(text, "\"cat\":\"Link\""), 10u);
     EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
@@ -395,8 +222,7 @@ TEST(TraceChromeSinkDeathTest, FatalFlushesClosingBracket)
     // The orphaned trace file from the crashed child still parses.
     std::string text = slurp(path);
     ASSERT_FALSE(text.empty());
-    JsonChecker checker(text);
-    EXPECT_TRUE(checker.valid()) << text;
+    EXPECT_EQ(jsonError(text), "") << text;
     EXPECT_NE(text.find("doomed span"), std::string::npos);
     std::remove(path.c_str());
 }
@@ -431,8 +257,7 @@ TEST(TraceSampler, EmitsRowsAndCounters)
 
     trace::closeSinks();
     std::string text = slurp(path);
-    JsonChecker checker(text);
-    ASSERT_TRUE(checker.valid());
+    ASSERT_EQ(jsonError(text), "");
 #if PCIESIM_TRACING
     EXPECT_GT(countOccurrences(text, "\"ph\":\"C\""), 0u);
     EXPECT_NE(text.find("goodputBytesPerSec"), std::string::npos);

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "../common/topology_dir.hh"
 #include "topo/baseline_system.hh"
 #include "topo/fabric_builder.hh"
 #include "topo/multi_device_system.hh"
@@ -21,19 +22,10 @@
 #include "topo/storage_system.hh"
 
 using namespace pciesim;
+using pciesim::test::topologyDir;
 
 namespace
 {
-
-std::string
-topologyDir()
-{
-#ifdef PCIESIM_TOPOLOGY_DIR
-    return PCIESIM_TOPOLOGY_DIR;
-#else
-    return "examples/topologies";
-#endif
-}
 
 std::string
 dumpStats(Simulation &sim)

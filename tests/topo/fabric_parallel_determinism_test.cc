@@ -31,23 +31,15 @@
 #include <string>
 #include <utility>
 
+#include "../common/topology_dir.hh"
 #include "topo/fabric_builder.hh"
 
 using namespace pciesim;
+using pciesim::test::topologyDir;
 using namespace pciesim::literals;
 
 namespace
 {
-
-std::string
-topologyDir()
-{
-#ifdef PCIESIM_TOPOLOGY_DIR
-    return PCIESIM_TOPOLOGY_DIR;
-#else
-    return "examples/topologies";
-#endif
-}
 
 /** Run fanout256 with @p threads workers; return gbps + dump. */
 std::pair<double, std::string>

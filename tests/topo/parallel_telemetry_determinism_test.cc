@@ -24,25 +24,17 @@
 #include <string>
 #include <utility>
 
+#include "../common/topology_dir.hh"
 #include "sim/parallel.hh"
 #include "sim/profiler.hh"
 #include "topo/fabric_builder.hh"
 
 using namespace pciesim;
+using pciesim::test::topologyDir;
 using namespace pciesim::literals;
 
 namespace
 {
-
-std::string
-topologyDir()
-{
-#ifdef PCIESIM_TOPOLOGY_DIR
-    return PCIESIM_TOPOLOGY_DIR;
-#else
-    return "examples/topologies";
-#endif
-}
 
 /** Restore the process-global profiler switches on scope exit —
  *  gtest shares the process across suites. */

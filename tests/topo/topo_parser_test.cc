@@ -13,9 +13,9 @@
 #include <functional>
 #include <string>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "topo/fabric_builder.hh"
-#include "topo/topo_parser.hh"
 
 using namespace pciesim;
 
@@ -130,8 +130,8 @@ TEST(TopoParser, BadNumberFraction)
 
 TEST(TopoParser, LinesSurviveParsing)
 {
-    topo::Json doc = topo::parseJson("{\n \"nodes\": [\n  {}\n ]\n}",
-                                     "t.json");
+    json::Value doc = topo::parseJson(
+        "{\n \"nodes\": [\n  {}\n ]\n}", "t.json");
     ASSERT_NE(doc.find("nodes"), nullptr);
     EXPECT_EQ(doc.find("nodes")->line, 2u);
     ASSERT_EQ(doc.find("nodes")->arr.size(), 1u);

@@ -26,9 +26,9 @@
  *       Rank the hottest and most starved link domains from the
  *       system.parallel.* flight-recorder block of a stats dump.
  *
- * Self-contained: a small recursive-descent JSON reader, no
- * dependency on the simulator library, so the tool keeps working on
- * dumps from any build (or from a wholly different machine).
+ * Links only the dependency-free JSON reader (src/sim/json), not
+ * the simulator library, so the tool keeps working on dumps from
+ * any build (or from a wholly different machine).
  */
 
 #include <algorithm>
@@ -36,7 +36,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <set>
@@ -45,291 +44,12 @@
 #include <utility>
 #include <vector>
 
+#include "sim/json.hh"
+
 namespace
 {
 
-//
-// Minimal JSON document model + parser.
-//
-
-struct Value
-{
-    enum class Type
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object
-    };
-
-    Type type = Type::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<Value> arr;
-    /** Insertion-ordered; stats dumps are name-sorted already. */
-    std::vector<std::pair<std::string, Value>> obj;
-
-    const Value *
-    find(const std::string &key) const
-    {
-        for (const auto &[k, v] : obj)
-            if (k == key)
-                return &v;
-        return nullptr;
-    }
-
-    double
-    numberOr(const std::string &key, double fallback) const
-    {
-        const Value *v = find(key);
-        return (v && v->type == Type::Number) ? v->number : fallback;
-    }
-
-    std::string
-    stringOr(const std::string &key,
-             const std::string &fallback) const
-    {
-        const Value *v = find(key);
-        return (v && v->type == Type::String) ? v->str : fallback;
-    }
-};
-
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    bool
-    parse(Value &out, std::string &error)
-    {
-        pos_ = 0;
-        if (!parseValue(out, error))
-            return false;
-        skipSpace();
-        if (pos_ != text_.size()) {
-            error = "trailing characters at offset " +
-                    std::to_string(pos_);
-            return false;
-        }
-        return true;
-    }
-
-  private:
-    bool
-    fail(std::string &error, const std::string &what)
-    {
-        error = what + " at offset " + std::to_string(pos_);
-        return false;
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    parseLiteral(const char *lit)
-    {
-        std::size_t n = std::strlen(lit);
-        if (text_.compare(pos_, n, lit) == 0) {
-            pos_ += n;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    parseValue(Value &out, std::string &error)
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            return fail(error, "unexpected end of input");
-        char c = text_[pos_];
-        if (c == '{')
-            return parseObject(out, error);
-        if (c == '[')
-            return parseArray(out, error);
-        if (c == '"') {
-            out.type = Value::Type::String;
-            return parseString(out.str, error);
-        }
-        if (c == '-' || std::isdigit(static_cast<unsigned char>(c)))
-            return parseNumber(out, error);
-        if (parseLiteral("true")) {
-            out.type = Value::Type::Bool;
-            out.boolean = true;
-            return true;
-        }
-        if (parseLiteral("false")) {
-            out.type = Value::Type::Bool;
-            out.boolean = false;
-            return true;
-        }
-        if (parseLiteral("null")) {
-            out.type = Value::Type::Null;
-            return true;
-        }
-        return fail(error, "unexpected character");
-    }
-
-    bool
-    parseObject(Value &out, std::string &error)
-    {
-        out.type = Value::Type::Object;
-        ++pos_; // '{'
-        if (consume('}'))
-            return true;
-        while (true) {
-            skipSpace();
-            if (pos_ >= text_.size() || text_[pos_] != '"')
-                return fail(error, "expected object key");
-            std::string key;
-            if (!parseString(key, error))
-                return false;
-            if (!consume(':'))
-                return fail(error, "expected ':'");
-            Value v;
-            if (!parseValue(v, error))
-                return false;
-            out.obj.emplace_back(std::move(key), std::move(v));
-            if (consume('}'))
-                return true;
-            if (!consume(','))
-                return fail(error, "expected ',' or '}'");
-        }
-    }
-
-    bool
-    parseArray(Value &out, std::string &error)
-    {
-        out.type = Value::Type::Array;
-        ++pos_; // '['
-        if (consume(']'))
-            return true;
-        while (true) {
-            Value v;
-            if (!parseValue(v, error))
-                return false;
-            out.arr.push_back(std::move(v));
-            if (consume(']'))
-                return true;
-            if (!consume(','))
-                return fail(error, "expected ',' or ']'");
-        }
-    }
-
-    bool
-    parseString(std::string &out, std::string &error)
-    {
-        ++pos_; // '"'
-        while (pos_ < text_.size()) {
-            char c = text_[pos_];
-            if (c == '"') {
-                ++pos_;
-                return true;
-            }
-            if (c == '\\') {
-                ++pos_;
-                if (pos_ >= text_.size())
-                    break;
-                char e = text_[pos_];
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'n': out += '\n'; break;
-                  case 'r': out += '\r'; break;
-                  case 't': out += '\t'; break;
-                  case 'u': {
-                    unsigned code = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        ++pos_;
-                        if (pos_ >= text_.size() ||
-                            !std::isxdigit(static_cast<unsigned char>(
-                                text_[pos_]))) {
-                            return fail(error, "bad \\u escape");
-                        }
-                        code = code * 16 +
-                               static_cast<unsigned>(std::stoul(
-                                   std::string(1, text_[pos_]),
-                                   nullptr, 16));
-                    }
-                    // Sim output is ASCII; fold to '?' otherwise.
-                    out += code < 0x80 ? static_cast<char>(code)
-                                       : '?';
-                    break;
-                  }
-                  default:
-                    return fail(error, "bad escape");
-                }
-                ++pos_;
-                continue;
-            }
-            out += c;
-            ++pos_;
-        }
-        return fail(error, "unterminated string");
-    }
-
-    bool
-    parseNumber(Value &out, std::string &error)
-    {
-        std::size_t start = pos_;
-        if (text_[pos_] == '-')
-            ++pos_;
-        auto digits = [&] {
-            std::size_t before = pos_;
-            while (pos_ < text_.size() &&
-                   std::isdigit(
-                       static_cast<unsigned char>(text_[pos_])))
-                ++pos_;
-            return pos_ > before;
-        };
-        if (!digits())
-            return fail(error, "bad number");
-        if (pos_ < text_.size() && text_[pos_] == '.') {
-            ++pos_;
-            if (!digits())
-                return fail(error, "bad fraction");
-        }
-        if (pos_ < text_.size() &&
-            (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < text_.size() &&
-                (text_[pos_] == '+' || text_[pos_] == '-'))
-                ++pos_;
-            if (!digits())
-                return fail(error, "bad exponent");
-        }
-        out.type = Value::Type::Number;
-        out.number =
-            std::strtod(text_.substr(start, pos_ - start).c_str(),
-                        nullptr);
-        return true;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
+using pciesim::json::Value;
 
 bool
 readFile(const std::string &path, std::string &out)
@@ -346,19 +66,30 @@ readFile(const std::string &path, std::string &out)
     return true;
 }
 
+/**
+ * Parse @p text, which starts on line @p first_line of @p path;
+ * on a syntax error print "<path>:<line>: <what>" and return false.
+ */
+bool
+parseJson(const std::string &path, std::size_t first_line,
+          const std::string &text, Value &out)
+{
+    pciesim::json::Error err;
+    if (pciesim::json::parse(text, out, err))
+        return true;
+    std::fprintf(stderr, "pciesim-report: %s:%zu: %s\n", path.c_str(),
+                 first_line + err.line - 1, err.what.c_str());
+    return false;
+}
+
 bool
 loadStatsDump(const std::string &path, Value &out)
 {
     std::string text;
     if (!readFile(path, text))
         return false;
-    std::string error;
-    Parser parser(text);
-    if (!parser.parse(out, error)) {
-        std::fprintf(stderr, "pciesim-report: %s: %s\n",
-                     path.c_str(), error.c_str());
+    if (!parseJson(path, 1, text, out))
         return false;
-    }
     if (out.stringOr("schema", "") != "pciesim-stats") {
         std::fprintf(stderr,
                      "pciesim-report: %s: not a pciesim-stats "
@@ -578,21 +309,18 @@ cmdTrajectory(const std::vector<std::string> &args)
         }
         std::printf("== %s ==\n", path.c_str());
         std::string line;
+        std::size_t lineno = 0;
         std::size_t records = 0;
         // Thread-sweep records (bench_kernel mdev16/tN) summarize
         // into one scaling line after the per-record rows.
         std::vector<std::pair<double, double>> sweep;
         while (std::getline(in, line)) {
+            ++lineno;
             if (line.find_first_not_of(" \t\r") ==
                 std::string::npos)
                 continue;
             Value rec;
-            std::string error;
-            Parser parser(line);
-            if (!parser.parse(rec, error)) {
-                std::fprintf(stderr,
-                             "pciesim-report: %s: %s\n",
-                             path.c_str(), error.c_str());
+            if (!parseJson(path, lineno, line, rec)) {
                 status = 2;
                 break;
             }
@@ -687,16 +415,14 @@ cmdScaling(const std::vector<std::string> &args)
             continue;
         }
         std::string line;
+        std::size_t lineno = 0;
         while (std::getline(in, line)) {
+            ++lineno;
             if (line.find_first_not_of(" \t\r") ==
                 std::string::npos)
                 continue;
             Value rec;
-            std::string error;
-            Parser parser(line);
-            if (!parser.parse(rec, error)) {
-                std::fprintf(stderr, "pciesim-report: %s: %s\n",
-                             path.c_str(), error.c_str());
+            if (!parseJson(path, lineno, line, rec)) {
                 status = 2;
                 break;
             }

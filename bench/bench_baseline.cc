@@ -8,7 +8,7 @@
  */
 
 #include "bench_common.hh"
-#include "topo/baseline_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace bench;
 
@@ -33,7 +33,8 @@ main(int argc, char **argv)
     std::vector<double> base;
     for (auto b : blocks) {
         Simulation sim;
-        BaselineSystem system(sim, SystemConfig{});
+        Fabric system(
+            sim, loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/baseline.json"));
         DdWorkloadParams dd;
         dd.blockBytes = b;
         WallTimer timer;

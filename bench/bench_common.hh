@@ -32,7 +32,7 @@
 #include "sim/parallel.hh"
 #include "sim/profiler.hh"
 #include "sim/trace.hh"
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 namespace bench
 {
@@ -351,7 +351,9 @@ runDd(SystemConfig config, std::uint64_t block_bytes)
     // Each run's record attributes that run only.
     prof::reset();
     Simulation sim;
-    StorageSystem system(sim, config);
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+    desc.config = config;
+    Fabric system(sim, desc);
     DdWorkloadParams dd;
     dd.blockBytes = block_bytes;
 

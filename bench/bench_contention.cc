@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "bench_common.hh"
-#include "topo/multi_device_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace bench;
 
@@ -34,11 +34,10 @@ main(int argc, char **argv)
 
     for (unsigned active : {1u, 2u, 3u, 4u}) {
         Simulation sim;
-        MultiDeviceConfig cfg;
-        cfg.numDevices = 4;
-        cfg.deviceLinkWidth = 1;
-        cfg.base.upstreamLinkWidth = 4;
-        MultiDeviceSystem system(sim, cfg);
+        FabricDesc desc =
+            loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/multi_device.json");
+        desc.config.upstreamLinkWidth = 4;
+        Fabric system(sim, desc);
         WallTimer timer;
         double gbps = system.runConcurrentWrites(active, bursts, 4096);
         double wall_ms = timer.elapsedMs();

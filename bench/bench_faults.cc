@@ -36,7 +36,9 @@ runFaultDd(double ber, std::uint64_t seed, std::uint64_t block_bytes)
     cfg.faultSeed = seed;
     cfg.completionTimeout = milliseconds(1);
     applyObservability(globalArgs(), cfg);
-    StorageSystem system(sim, cfg);
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+    desc.config = cfg;
+    Fabric system(sim, desc);
 
     DdWorkloadParams dd;
     dd.blockBytes = block_bytes;

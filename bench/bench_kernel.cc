@@ -26,7 +26,7 @@
 #include <cstdio>
 
 #include "bench_common.hh"
-#include "topo/multi_device_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace bench;
 
@@ -128,19 +128,25 @@ struct MdevResult
 MdevResult
 runMdev(unsigned threads, unsigned bursts)
 {
-    MultiDeviceConfig cfg;
-    cfg.base.threads = threads;
-    cfg.base.upstreamLinkWidth = 16;
-    cfg.base.linkPropagation = microseconds(2);
-    cfg.base.replayTimeoutScale = 100.0;
-    cfg.base.ackImmediate = true;
-    cfg.base.replayBufferSize = 32;
-    cfg.base.portBufferSize = 64;
-    cfg.numDevices = 16;
-    cfg.deviceLinkWidth = 1;
+    // multi_device.json widened to sixteen generators.
+    const std::string text = R"({"nodes": [
+        {"name": "switch", "kind": "switch", "ports": 16,
+         "link": {"name": "upLink"}},
+        {"name": "tgen", "kind": "traffic_gen", "count": 16,
+         "parent": "switch",
+         "link": {"name": "devLink", "width": 1}}]})";
+    FabricDesc desc =
+        parseFabricDesc(topo::parseJson(text, "<mdev16>"), "<mdev16>");
+    desc.config.threads = threads;
+    desc.config.upstreamLinkWidth = 16;
+    desc.config.linkPropagation = microseconds(2);
+    desc.config.replayTimeoutScale = 100.0;
+    desc.config.ackImmediate = true;
+    desc.config.replayBufferSize = 32;
+    desc.config.portBufferSize = 64;
 
     Simulation sim;
-    MultiDeviceSystem system(sim, cfg);
+    Fabric system(sim, desc);
     MdevResult r;
     WallTimer timer;
     r.dd.gbps = system.runConcurrentWrites(16, bursts, 4096);

@@ -14,7 +14,7 @@
 #include "mem/simple_memory.hh"
 #include "mem/xbar.hh"
 #include "pcie/pcie_link.hh"
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 using namespace pciesim::literals;
@@ -176,7 +176,8 @@ BM_Enumeration(benchmark::State &state)
 {
     for (auto _ : state) {
         Simulation sim;
-        StorageSystem system(sim, SystemConfig{});
+        Fabric system(sim,
+                      loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json"));
         system.boot();
         benchmark::DoNotOptimize(
             system.kernel().enumerate().functions.size());

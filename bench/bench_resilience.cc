@@ -42,7 +42,9 @@ ResilienceResult
 runResilientDd(const SystemConfig &cfg, std::uint64_t block_bytes)
 {
     Simulation sim;
-    StorageSystem system(sim, cfg);
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+    desc.config = cfg;
+    Fabric system(sim, desc);
 
     DdWorkloadParams dd;
     dd.blockBytes = block_bytes;

@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_common.hh"
-#include "topo/nic_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace bench;
 
@@ -46,10 +46,11 @@ main(int argc, char **argv)
     }
     for (unsigned rc : rc_lat) {
         Simulation sim;
-        NicSystemConfig cfg;
-        cfg.base.rcLatency = nanoseconds(rc);
-        applyObservability(args, cfg.base);
-        NicSystem system(sim, cfg);
+        FabricDesc desc =
+            loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/nic_loopback.json");
+        desc.config.rcLatency = nanoseconds(rc);
+        applyObservability(args, desc.config);
+        Fabric system(sim, desc);
         WallTimer timer;
         Tick t = system.measureMmioReadLatency(iters);
         double wall_ms = timer.elapsedMs();

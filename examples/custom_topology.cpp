@@ -1,17 +1,17 @@
 /**
  * @file
- * Future-system exploration scenario: hand-built topology with two
- * NICs on separate root ports exchanging traffic over an Ethernet
- * wire, demonstrating (1) assembling a custom fabric from the
- * library's components and (2) concurrent DMA streams through the
- * root complex.
+ * Future-system exploration scenario: two NICs on separate root
+ * ports exchanging traffic over an Ethernet wire, demonstrating
+ * (1) describing a fabric in JSON (examples/topologies/nic.json)
+ * and adjusting the loaded description in code before building it,
+ * and (2) concurrent DMA streams through the root complex.
  *
  *   $ ./custom_topology
  */
 
 #include <cstdio>
 
-#include "topo/nic_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 
@@ -20,19 +20,17 @@ main()
 {
     setInformEnabled(false);
 
-    NicSystemConfig cfg;
-    cfg.twoNics = true;
-    cfg.nicLinkWidth = 1;
-    cfg.wire.rateGbps = 10.0; // make PCIe, not the wire, matter
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/nic.json");
+    desc.wire.rateGbps = 10.0; // make PCIe, not the wire, matter
 
     Simulation sim;
-    NicSystem system(sim, cfg);
+    Fabric system(sim, desc);
     system.boot();
 
     // NIC1 reflects: count received frames.
     unsigned received = 0;
     std::uint64_t bytes = 0;
-    system.driver(1).setOnReceive([&](unsigned len) {
+    system.nicDriver(1).setOnReceive([&](unsigned len) {
         ++received;
         bytes += len;
     });
@@ -46,7 +44,7 @@ main()
     unsigned completed = 0;
     Tick start = sim.curTick();
     for (unsigned i = 0; i < kFrames; ++i)
-        system.driver(0).sendFrame(kLen, [&] { ++completed; });
+        system.nicDriver(0).sendFrame(kLen, [&] { ++completed; });
     sim.run();
     Tick elapsed = sim.curTick() - start;
 

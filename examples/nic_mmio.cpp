@@ -11,7 +11,7 @@
 
 #include <cstdio>
 
-#include "topo/nic_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 
@@ -23,9 +23,10 @@ main()
     std::printf("-- e1000e probe walk (paper Sec. IV) --\n");
     {
         Simulation sim;
-        NicSystem system(sim, NicSystemConfig{});
+        Fabric system(sim, loadFabricDesc(PCIESIM_TOPOLOGY_DIR
+                                          "/nic_loopback.json"));
         system.boot();
-        E1000eDriver &drv = system.driver();
+        E1000eDriver &drv = system.nicDriver(0);
         std::printf("  MSI-X enable hard-wired zero : %s\n",
                     drv.sawMsixDisabled() ? "yes" : "no");
         std::printf("  MSI enable hard-wired zero   : %s\n",
@@ -50,7 +51,7 @@ main()
                         (drv.macAddress() >> 40) & 0xff));
         std::printf("  BAR0 (128 KB MMIO)           : 0x%llx\n",
                     static_cast<unsigned long long>(
-                        system.nicMmioBase()));
+                        system.nicMmioBase(0)));
     }
 
     std::printf("\n-- MMIO read latency vs root complex latency "
@@ -58,9 +59,10 @@ main()
     std::printf("  %-22s %s\n", "rc latency", "4B MMIO read");
     for (unsigned rc : {50u, 75u, 100u, 125u, 150u}) {
         Simulation sim;
-        NicSystemConfig cfg;
-        cfg.base.rcLatency = nanoseconds(rc);
-        NicSystem system(sim, cfg);
+        FabricDesc desc =
+            loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/nic_loopback.json");
+        desc.config.rcLatency = nanoseconds(rc);
+        Fabric system(sim, desc);
         Tick t = system.measureMmioReadLatency(100);
         std::printf("  %3u ns %22.0f ns\n", rc, ticksToNs(t));
     }

@@ -10,21 +10,22 @@
 #include <cstdio>
 #include <iostream>
 
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 
 int
 main()
 {
-    // 1. Describe the system. SystemConfig defaults reproduce the
-    //    paper's validation configuration (Gen 2, RC/switch latency
-    //    150 ns, 16-packet port buffers, 4-entry replay buffers).
-    SystemConfig config;
+    // 1. Describe the system. storage.json declares the tree; the
+    //    SystemConfig defaults in desc.config reproduce the paper's
+    //    validation configuration (Gen 2, RC/switch latency 150 ns,
+    //    16-packet port buffers, 4-entry replay buffers).
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
 
     // 2. Instantiate and wire every component.
     Simulation sim;
-    StorageSystem system(sim, config);
+    Fabric system(sim, desc);
 
     // 3. Boot: depth-first PCI enumeration assigns bus numbers,
     //    sizes BARs, programs bridge windows; the IDE driver probes.

@@ -15,7 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 
@@ -63,7 +63,9 @@ main(int argc, char **argv)
                         argValue(argc, argv, "--block-mb", 4)) << 20;
 
     Simulation sim;
-    StorageSystem system(sim, config);
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+    desc.config = config;
+    Fabric system(sim, desc);
     double gbps = system.runDd(dd);
 
     std::printf("config: gen%u, rc->switch x%u, switch->disk x%u, "

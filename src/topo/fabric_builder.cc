@@ -1488,7 +1488,7 @@ Fabric::genMmioBase(unsigned i)
 {
     boot();
     const EnumeratedFunction *fn =
-        kernel_->enumerate().find(gens_.at(i)->bdf());
+        kernel_->enumerate().find(trafficGen(i).bdf());
     panicIf(fn == nullptr || fn->bars.empty(),
             "traffic generator was not enumerated");
     return fn->bars[0].start();
@@ -1498,7 +1498,7 @@ Addr
 Fabric::nicMmioBase(unsigned i)
 {
     const EnumeratedFunction *fn =
-        kernel_->enumerate().find(nics_.at(i)->bdf());
+        kernel_->enumerate().find(nic(i).bdf());
     panicIf(fn == nullptr || fn->bars.empty(),
             "NIC was not enumerated");
     return fn->bars[0].start();

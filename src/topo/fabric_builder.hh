@@ -7,10 +7,11 @@
  * objects, wiring one event-queue domain per link so `--threads N`
  * partitioning applies to any shape automatically.
  *
- * Descriptions come from C++ (the four legacy system classes are
- * thin wrappers that build one) or from JSON files under
- * examples/topologies/ (see parseFabricDesc / loadFabricDesc and
- * the schema reference in examples/topologies/SCHEMA.md).
+ * Descriptions come from JSON: the files under
+ * examples/topologies/ (loadFabricDesc), or a document parsed in
+ * place (parseFabricDesc); the schema reference is
+ * examples/topologies/SCHEMA.md. Callers adjust the loaded
+ * description (config, device defaults) and construct Fabric.
  *
  * This header is the sanctioned registration surface between the
  * topo layer and the dev layer: topo code reaches device types
@@ -155,9 +156,8 @@ FabricDesc loadFabricDesc(const std::string &path);
  * A constructed system: owns every object the description named,
  * plus the substrate (memory bus, DRAM, PCI host, interrupt
  * controller, IO cache, kernel, and — in pcie style — the root
- * complex). Stats, golden dumps, and parallel partitioning behave
- * exactly as the legacy hand-coded topologies did; the four legacy
- * classes are wrappers over this builder.
+ * complex). Every system in the tree is one of these; accessors
+ * below index each kind in declaration order.
  */
 class Fabric
 {
@@ -208,7 +208,10 @@ class Fabric
     /** Write the full registry as stats.json to @p path. */
     void exportStatsJson(const std::string &path);
 
-    /** @{ Canonical workloads (see the legacy system classes). */
+    /** @{ Canonical workloads: dd for storage.json and
+     *  baseline.json, concurrent writes for multi_device.json, the
+     *  MMIO probe for nic_loopback.json, direct writes for
+     *  fanout256.json. */
     /** dd through the first IDE disk; returns goodput in Gbit/s. */
     double runDd(const DdWorkloadParams &dd);
     /** Program and start @p active traffic generators over kernel

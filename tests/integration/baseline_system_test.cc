@@ -7,16 +7,15 @@
 
 #include <gtest/gtest.h>
 
-#include "topo/baseline_system.hh"
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 
-TEST(BaselineSystem, BootsAndRunsDd)
+TEST(BaselineFabric, BootsAndRunsDd)
 {
     Simulation sim;
-    SystemConfig cfg;
-    BaselineSystem system(sim, cfg);
+    Fabric system(sim,
+                  loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/baseline.json"));
 
     DdWorkloadParams dd;
     dd.blockBytes = 1 << 20;
@@ -26,7 +25,7 @@ TEST(BaselineSystem, BootsAndRunsDd)
     EXPECT_EQ(Packet::liveCount(), 0u);
 }
 
-TEST(BaselineSystem, FasterThanPcieX1Model)
+TEST(BaselineFabric, FasterThanPcieX1Model)
 {
     // The whole point of the paper: the stock crossbar attachment
     // has no Gen 2 x1 serialization bottleneck, so it overestimates
@@ -35,11 +34,13 @@ TEST(BaselineSystem, FasterThanPcieX1Model)
     dd.blockBytes = 2 << 20;
 
     Simulation sim_base;
-    BaselineSystem baseline(sim_base, SystemConfig{});
+    Fabric baseline(sim_base,
+                    loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/baseline.json"));
     double base_gbps = baseline.runDd(dd);
 
     Simulation sim_pcie;
-    StorageSystem pcie(sim_pcie, SystemConfig{});
+    Fabric pcie(sim_pcie,
+                loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json"));
     double pcie_gbps = pcie.runDd(dd);
 
     EXPECT_GT(base_gbps, pcie_gbps * 1.3)

@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 
@@ -26,12 +26,12 @@ RunResult
 runDd(unsigned width, std::size_t replay_buf, std::size_t port_buf)
 {
     Simulation sim;
-    SystemConfig cfg;
-    cfg.upstreamLinkWidth = width;
-    cfg.downstreamLinkWidth = width;
-    cfg.replayBufferSize = replay_buf;
-    cfg.portBufferSize = port_buf;
-    StorageSystem system(sim, cfg);
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+    desc.config.upstreamLinkWidth = width;
+    desc.config.downstreamLinkWidth = width;
+    desc.config.replayBufferSize = replay_buf;
+    desc.config.portBufferSize = port_buf;
+    Fabric system(sim, desc);
     DdWorkloadParams dd;
     dd.blockBytes = 1 << 20;
     RunResult r;

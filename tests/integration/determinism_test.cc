@@ -17,7 +17,7 @@
 #include <string>
 
 #include "sim/trace.hh"
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 using namespace pciesim::literals;
@@ -73,12 +73,12 @@ seededRun(const std::string &trace_path)
     std::string dump;
     {
         Simulation sim;
-        SystemConfig cfg;
-        cfg.linkBitErrorRate = 2e-6;
-        cfg.faultSeed = 42;
-        cfg.traceOut = trace_path;
-        cfg.traceFlags = "All";
-        StorageSystem system(sim, cfg);
+        FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+        desc.config.linkBitErrorRate = 2e-6;
+        desc.config.faultSeed = 42;
+        desc.config.traceOut = trace_path;
+        desc.config.traceFlags = "All";
+        Fabric system(sim, desc);
         DdWorkloadParams dd;
         dd.blockBytes = 512 * 1024;
         system.runDd(dd);

@@ -4,8 +4,9 @@
  * configurations pin the fabric to one event-queue domain, so
  * `--threads N` must construct and run the exact system `threads=0`
  * does — byte-identical stats, not merely equivalent ones. Guards
- * the warn-once fallback path in StorageSystem against quietly
- * drifting from the legacy construction.
+ * the builder's warn-once fallback path, exercised on
+ * examples/topologies/storage.json, against quietly drifting from
+ * the single-queue construction.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,7 @@
 #include <sstream>
 #include <string>
 
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 using namespace pciesim::literals;
@@ -26,7 +27,9 @@ runOnce(SystemConfig cfg, unsigned threads)
 {
     cfg.threads = threads;
     Simulation sim;
-    StorageSystem system(sim, cfg);
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+    desc.config = cfg;
+    Fabric system(sim, desc);
     DdWorkloadParams dd;
     dd.blockBytes = 1 << 20;
     system.runDd(dd);

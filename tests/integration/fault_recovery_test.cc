@@ -11,7 +11,7 @@
 #include <sstream>
 #include <string>
 
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 using namespace pciesim::literals;
@@ -32,7 +32,9 @@ RunResult
 runOnce(const SystemConfig &cfg, std::uint64_t block_bytes)
 {
     Simulation sim;
-    StorageSystem system(sim, cfg);
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+    desc.config = cfg;
+    Fabric system(sim, desc);
     DdWorkloadParams dd;
     dd.blockBytes = block_bytes;
 
@@ -117,10 +119,10 @@ TEST(FaultRecoveryTest, PerLinkStatsAccessorCoversTheFabric)
 {
     setInformEnabled(false);
     Simulation sim;
-    SystemConfig cfg;
-    StorageSystem system(sim, cfg);
+    Fabric system(sim,
+                  loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json"));
     auto links = system.links();
     ASSERT_EQ(links.size(), 2u);
-    EXPECT_EQ(links[0], &system.upstreamLink());
-    EXPECT_EQ(links[1], &system.downstreamLink());
+    EXPECT_EQ(links[0], &system.link(0));
+    EXPECT_EQ(links[1], &system.link(1));
 }

@@ -18,8 +18,7 @@
 #include <sstream>
 #include <string>
 
-#include "topo/nic_system.hh"
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 using namespace pciesim::literals;
@@ -105,8 +104,8 @@ TEST(GoldenStats, Fig9aDdShape)
 {
     // The Fig. 9a topology: default Gen2 fabric, 1 MiB dd.
     Simulation sim;
-    SystemConfig cfg;
-    StorageSystem system(sim, cfg);
+    Fabric system(sim,
+                  loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json"));
     DdWorkloadParams dd;
     dd.blockBytes = 1 << 20;
     double gbps = system.runDd(dd);
@@ -122,9 +121,10 @@ TEST(GoldenStats, Table2MmioShape)
 {
     // The Table II midpoint: NIC on a root port, rcLatency 100 ns.
     Simulation sim;
-    NicSystemConfig cfg;
-    cfg.base.rcLatency = nanoseconds(100);
-    NicSystem system(sim, cfg);
+    FabricDesc desc =
+        loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/nic_loopback.json");
+    desc.config.rcLatency = nanoseconds(100);
+    Fabric system(sim, desc);
     Tick t = system.measureMmioReadLatency(32);
 
     std::ostringstream os;
@@ -139,10 +139,10 @@ TEST(GoldenStats, SeededFaultShape)
     // A seeded bit-error run locks the whole recovery pipeline:
     // LCRC drops, NAKs, replays, and their latency footprint.
     Simulation sim;
-    SystemConfig cfg;
-    cfg.linkBitErrorRate = 1e-6;
-    cfg.faultSeed = 7;
-    StorageSystem system(sim, cfg);
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+    desc.config.linkBitErrorRate = 1e-6;
+    desc.config.faultSeed = 7;
+    Fabric system(sim, desc);
     DdWorkloadParams dd;
     dd.blockBytes = 256 * 1024;
     double gbps = system.runDd(dd);
@@ -165,10 +165,10 @@ TEST(GoldenStats, UnplugAndRecoverShape)
     // Locks the AER/containment/recovery counters and the recovery
     // latency footprint.
     Simulation sim;
-    SystemConfig cfg;
-    cfg.aerEnabled = true;
-    cfg.unplugAtChunk = 8;
-    StorageSystem system(sim, cfg);
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+    desc.config.aerEnabled = true;
+    desc.config.unplugAtChunk = 8;
+    Fabric system(sim, desc);
     DdWorkloadParams dd;
     dd.blockBytes = 1 << 20;
     double gbps = system.runDd(dd);

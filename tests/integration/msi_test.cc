@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "topo/nic_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 using namespace pciesim::literals;
@@ -15,13 +15,19 @@ using namespace pciesim::literals;
 namespace
 {
 
-NicSystemConfig
-msiConfig()
+FabricDesc
+loopback()
 {
-    NicSystemConfig cfg;
-    cfg.nic.allowMsi = true;
-    cfg.driver.preferMsi = true;
-    return cfg;
+    return loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/nic_loopback.json");
+}
+
+FabricDesc
+msiDesc()
+{
+    FabricDesc desc = loopback();
+    desc.nic.allowMsi = true;
+    desc.nicDriver.preferMsi = true;
+    return desc;
 }
 
 } // namespace
@@ -29,11 +35,11 @@ msiConfig()
 TEST(Msi, DriverEnablesMsiWhenDeviceAllowsIt)
 {
     Simulation sim;
-    NicSystem system(sim, msiConfig());
+    Fabric system(sim, msiDesc());
     system.boot();
-    EXPECT_TRUE(system.driver().usingMsi());
-    EXPECT_FALSE(system.driver().usingLegacyIrq());
-    EXPECT_FALSE(system.driver().sawMsiDisabled());
+    EXPECT_TRUE(system.nicDriver().usingMsi());
+    EXPECT_FALSE(system.nicDriver().usingLegacyIrq());
+    EXPECT_FALSE(system.nicDriver().sawMsiDisabled());
 }
 
 TEST(Msi, PaperTemplateStillForcesIntx)
@@ -41,26 +47,26 @@ TEST(Msi, PaperTemplateStillForcesIntx)
     // Default devices keep the enable bit hard-wired zero; even an
     // MSI-preferring driver must fall back to legacy interrupts.
     Simulation sim;
-    NicSystemConfig cfg;
-    cfg.nic.allowMsi = false;
-    cfg.driver.preferMsi = true;
-    NicSystem system(sim, cfg);
+    FabricDesc desc = loopback();
+    desc.nic.allowMsi = false;
+    desc.nicDriver.preferMsi = true;
+    Fabric system(sim, desc);
     system.boot();
-    EXPECT_FALSE(system.driver().usingMsi());
-    EXPECT_TRUE(system.driver().sawMsiDisabled());
-    EXPECT_TRUE(system.driver().usingLegacyIrq());
+    EXPECT_FALSE(system.nicDriver().usingMsi());
+    EXPECT_TRUE(system.nicDriver().sawMsiDisabled());
+    EXPECT_TRUE(system.nicDriver().usingLegacyIrq());
 }
 
 TEST(Msi, CompletionsDeliveredAsMessageTlps)
 {
     Simulation sim;
-    NicSystem system(sim, msiConfig());
+    Fabric system(sim, msiDesc());
     system.boot();
 
     unsigned received = 0;
-    system.driver().setOnReceive([&](unsigned) { ++received; });
+    system.nicDriver().setOnReceive([&](unsigned) { ++received; });
     bool sent = false;
-    system.driver().sendFrame(256, [&] { sent = true; });
+    system.nicDriver().sendFrame(256, [&] { sent = true; });
     sim.run();
 
     EXPECT_TRUE(sent);
@@ -78,15 +84,15 @@ TEST(Msi, InBandLatencyScalesWithRcLatencyUnlikeIntx)
     // TX-done handler across RC latencies in both modes.
     auto measure = [](bool msi, unsigned rc_ns) {
         Simulation sim;
-        NicSystemConfig cfg;
-        cfg.nic.allowMsi = msi;
-        cfg.driver.preferMsi = msi;
-        cfg.base.rcLatency = nanoseconds(rc_ns);
-        NicSystem system(sim, cfg);
+        FabricDesc desc = loopback();
+        desc.nic.allowMsi = msi;
+        desc.nicDriver.preferMsi = msi;
+        desc.config.rcLatency = nanoseconds(rc_ns);
+        Fabric system(sim, desc);
         system.boot();
         Tick start = sim.curTick();
         Tick done_at = 0;
-        system.driver().sendFrame(64, [&] {
+        system.nicDriver().sendFrame(64, [&] {
             done_at = sim.curTick();
         });
         sim.run();

@@ -6,16 +6,24 @@
 
 #include <gtest/gtest.h>
 
-#include "topo/multi_device_system.hh"
+#include <string>
+
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
+
+namespace
+{
+
+const char *const multiDeviceJson =
+    PCIESIM_TOPOLOGY_DIR "/multi_device.json";
+
+} // namespace
 
 TEST(MultiDevice, EnumerationFindsAllGenerators)
 {
     Simulation sim;
-    MultiDeviceConfig cfg;
-    cfg.numDevices = 4;
-    MultiDeviceSystem system(sim, cfg);
+    Fabric system(sim, loadFabricDesc(multiDeviceJson));
     system.boot();
 
     const auto &result = system.kernel().enumerate();
@@ -37,37 +45,42 @@ TEST(MultiDevice, EnumerationFindsAllGenerators)
 TEST(MultiDevice, SingleGeneratorMovesItsBytes)
 {
     Simulation sim;
-    MultiDeviceConfig cfg;
-    cfg.numDevices = 2;
-    MultiDeviceSystem system(sim, cfg);
+    // multi_device.json cut down to two generators.
+    const std::string text = R"({"nodes": [
+        {"name": "switch", "kind": "switch", "ports": 2,
+         "link": {"name": "upLink"}},
+        {"name": "tgen", "kind": "traffic_gen", "count": 2,
+         "parent": "switch",
+         "link": {"name": "devLink", "width": 1}}]})";
+    Fabric system(sim, parseFabricDesc(topo::parseJson(text, "<two-gen>"),
+                                       "<two-gen>"));
 
     double gbps = system.runConcurrentWrites(1, 64, 4096);
     EXPECT_GT(gbps, 0.5);
-    EXPECT_EQ(system.device(0).bytesMoved(), 64u * 4096);
-    EXPECT_EQ(system.device(0).burstsCompleted(), 64u);
-    EXPECT_EQ(system.device(1).bytesMoved(), 0u);
+    EXPECT_EQ(system.trafficGen(0).bytesMoved(), 64u * 4096);
+    EXPECT_EQ(system.trafficGen(0).burstsCompleted(), 64u);
+    EXPECT_EQ(system.trafficGen(1).bytesMoved(), 0u);
     EXPECT_EQ(Packet::liveCount(), 0u);
 }
 
 TEST(MultiDevice, ConcurrentGeneratorsShareTheFabric)
 {
     Simulation sim;
-    MultiDeviceConfig cfg;
-    cfg.numDevices = 4;
-    cfg.base.upstreamLinkWidth = 4;
-    MultiDeviceSystem system(sim, cfg);
+    FabricDesc desc = loadFabricDesc(multiDeviceJson);
+    desc.config.upstreamLinkWidth = 4;
+    Fabric system(sim, desc);
 
     double agg = system.runConcurrentWrites(4, 64, 4096);
     EXPECT_GT(agg, 1.0);
     // Every device finished its share.
     for (unsigned i = 0; i < 4; ++i) {
-        EXPECT_EQ(system.device(i).bytesMoved(), 64u * 4096)
+        EXPECT_EQ(system.trafficGen(i).bytesMoved(), 64u * 4096)
             << "device " << i;
     }
     // Rough fairness: per-device goodputs within 3x of each other.
     double lo = 1e18, hi = 0.0;
     for (unsigned i = 0; i < 4; ++i) {
-        double g = system.device(i).achievedGbps();
+        double g = system.trafficGen(i).achievedGbps();
         lo = std::min(lo, g);
         hi = std::max(hi, g);
     }
@@ -78,10 +91,9 @@ TEST(MultiDevice, AggregateScalesThenSaturates)
 {
     auto run = [](unsigned active) {
         Simulation sim;
-        MultiDeviceConfig cfg;
-        cfg.numDevices = 4;
-        cfg.base.upstreamLinkWidth = 4;
-        MultiDeviceSystem system(sim, cfg);
+        FabricDesc desc = loadFabricDesc(multiDeviceJson);
+        desc.config.upstreamLinkWidth = 4;
+        Fabric system(sim, desc);
         return system.runConcurrentWrites(active, 64, 4096);
     };
     double one = run(1);

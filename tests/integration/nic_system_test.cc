@@ -8,18 +8,26 @@
 
 #include <gtest/gtest.h>
 
-#include "topo/nic_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 using namespace pciesim::literals;
 
-TEST(NicSystem, E1000eProbeFallsBackToLegacyInterrupts)
+namespace
+{
+
+const char *const loopbackJson =
+    PCIESIM_TOPOLOGY_DIR "/nic_loopback.json";
+
+} // namespace
+
+TEST(NicFabric, E1000eProbeFallsBackToLegacyInterrupts)
 {
     Simulation sim;
-    NicSystem system(sim, NicSystemConfig{});
+    Fabric system(sim, loadFabricDesc(loopbackJson));
     system.boot();
 
-    E1000eDriver &drv = system.driver();
+    E1000eDriver &drv = system.nicDriver();
     EXPECT_TRUE(drv.probed());
     // The paper's template disables PM/MSI/MSI-X; the driver must
     // have observed the hard-wired-zero enable bits and registered
@@ -32,10 +40,10 @@ TEST(NicSystem, E1000eProbeFallsBackToLegacyInterrupts)
     EXPECT_EQ(drv.macAddress(), 0x9a7856341200ull);
 }
 
-TEST(NicSystem, EnumerationPlacesNicOnBusOne)
+TEST(NicFabric, EnumerationPlacesNicOnBusOne)
 {
     Simulation sim;
-    NicSystem system(sim, NicSystemConfig{});
+    Fabric system(sim, loadFabricDesc(loopbackJson));
     system.boot();
     const auto &result = system.kernel().enumerate();
     const EnumeratedFunction *nic = result.find(0x8086, 0x10d3);
@@ -47,21 +55,20 @@ TEST(NicSystem, EnumerationPlacesNicOnBusOne)
         nic->bars[0]));
 }
 
-TEST(NicSystem, LoopbackFrameTransmission)
+TEST(NicFabric, LoopbackFrameTransmission)
 {
     Simulation sim;
-    NicSystemConfig cfg;
-    NicSystem system(sim, cfg);
+    Fabric system(sim, loadFabricDesc(loopbackJson));
     system.boot();
 
     unsigned received = 0;
-    system.driver().setOnReceive([&](unsigned len) {
+    system.nicDriver().setOnReceive([&](unsigned len) {
         EXPECT_EQ(len, 512u);
         ++received;
     });
 
     bool sent = false;
-    system.driver().sendFrame(512, [&] { sent = true; });
+    system.nicDriver().sendFrame(512, [&] { sent = true; });
     sim.run();
     EXPECT_TRUE(sent);
     // Loopback: the frame reflects back into the same NIC's RX.
@@ -70,20 +77,19 @@ TEST(NicSystem, LoopbackFrameTransmission)
     EXPECT_EQ(system.nic().framesReceived(), 1u);
 }
 
-TEST(NicSystem, TwoNicsExchangeFrames)
+TEST(NicFabric, TwoNicsExchangeFrames)
 {
     Simulation sim;
-    NicSystemConfig cfg;
-    cfg.twoNics = true;
-    NicSystem system(sim, cfg);
+    Fabric system(sim,
+                  loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/nic.json"));
     system.boot();
 
     unsigned rx1 = 0;
-    system.driver(1).setOnReceive([&](unsigned) { ++rx1; });
+    system.nicDriver(1).setOnReceive([&](unsigned) { ++rx1; });
 
     bool sent = false;
     for (unsigned i = 0; i < 4; ++i)
-        system.driver(0).sendFrame(1024, [&] { sent = true; });
+        system.nicDriver(0).sendFrame(1024, [&] { sent = true; });
     sim.run();
     EXPECT_TRUE(sent);
     EXPECT_EQ(system.nic(0).framesTransmitted(), 4u);
@@ -92,7 +98,7 @@ TEST(NicSystem, TwoNicsExchangeFrames)
     EXPECT_EQ(Packet::liveCount(), 0u) << "packet leak";
 }
 
-TEST(NicSystem, MmioLatencyScalesWithRcLatency)
+TEST(NicFabric, MmioLatencyScalesWithRcLatency)
 {
     // The Table II relationship, as a property: each root complex
     // latency step adds about twice the step to the MMIO read
@@ -100,9 +106,9 @@ TEST(NicSystem, MmioLatencyScalesWithRcLatency)
     std::vector<Tick> lat;
     for (unsigned rc : {50u, 100u, 150u}) {
         Simulation sim;
-        NicSystemConfig cfg;
-        cfg.base.rcLatency = nanoseconds(rc);
-        NicSystem system(sim, cfg);
+        FabricDesc desc = loadFabricDesc(loopbackJson);
+        desc.config.rcLatency = nanoseconds(rc);
+        Fabric system(sim, desc);
         lat.push_back(system.measureMmioReadLatency(50));
     }
     EXPECT_GT(lat[1], lat[0]);
@@ -112,4 +118,12 @@ TEST(NicSystem, MmioLatencyScalesWithRcLatency)
     // 50 ns RC step -> ~100 ns MMIO step, within a tolerance.
     EXPECT_NEAR(static_cast<double>(step1), 100e3, 20e3);
     EXPECT_NEAR(static_cast<double>(step2), 100e3, 20e3);
+}
+
+TEST(NicFabric, MmioBaseOfMissingNicPanicsWithIndex)
+{
+    Simulation sim;
+    Fabric system(sim, loadFabricDesc(loopbackJson));
+    system.boot();
+    EXPECT_DEATH((void)system.nicMmioBase(1), "NIC 1 not instantiated");
 }

@@ -15,7 +15,7 @@
 #include <sstream>
 #include <string>
 
-#include "topo/multi_device_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 using namespace pciesim::literals;
@@ -36,19 +36,25 @@ struct RunResult
 RunResult
 threadedRun(unsigned threads)
 {
-    MultiDeviceConfig cfg;
-    cfg.base.threads = threads;
-    cfg.base.upstreamLinkWidth = 16;
-    cfg.base.linkPropagation = 500_ns;
-    cfg.base.replayTimeoutScale = 100.0;
-    cfg.base.ackImmediate = true;
-    cfg.base.replayBufferSize = 32;
-    cfg.base.portBufferSize = 64;
-    cfg.numDevices = 8;
-    cfg.deviceLinkWidth = 1;
+    // multi_device.json widened to eight generators.
+    const std::string text = R"({"nodes": [
+        {"name": "switch", "kind": "switch", "ports": 8,
+         "link": {"name": "upLink"}},
+        {"name": "tgen", "kind": "traffic_gen", "count": 8,
+         "parent": "switch",
+         "link": {"name": "devLink", "width": 1}}]})";
+    FabricDesc desc =
+        parseFabricDesc(topo::parseJson(text, "<mdev8>"), "<mdev8>");
+    desc.config.threads = threads;
+    desc.config.upstreamLinkWidth = 16;
+    desc.config.linkPropagation = 500_ns;
+    desc.config.replayTimeoutScale = 100.0;
+    desc.config.ackImmediate = true;
+    desc.config.replayBufferSize = 32;
+    desc.config.portBufferSize = 64;
 
     Simulation sim;
-    MultiDeviceSystem system(sim, cfg);
+    Fabric system(sim, desc);
     RunResult r;
     r.gbps = system.runConcurrentWrites(8, 4, 4096);
     r.endTick = sim.curTick();

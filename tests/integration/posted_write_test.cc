@@ -6,9 +6,16 @@
 
 #include <gtest/gtest.h>
 
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
+
+namespace
+{
+
+const char *const storageJson = PCIESIM_TOPOLOGY_DIR "/storage.json";
+
+} // namespace
 
 TEST(PostedWrites, CommandClassification)
 {
@@ -23,9 +30,9 @@ TEST(PostedWrites, CommandClassification)
 TEST(PostedWrites, DdCompletesAndMovesAllData)
 {
     Simulation sim;
-    SystemConfig cfg;
-    cfg.disk.postedWrites = true;
-    StorageSystem system(sim, cfg);
+    FabricDesc desc = loadFabricDesc(storageJson);
+    desc.config.disk.postedWrites = true;
+    Fabric system(sim, desc);
     DdWorkloadParams dd;
     dd.blockBytes = 1 << 20;
     double gbps = system.runDd(dd);
@@ -48,14 +55,13 @@ TEST(PostedWrites, FasterThanNonPostedAtX1)
     dd.blockBytes = 2 << 20;
 
     Simulation sim_np;
-    SystemConfig cfg_np;
-    StorageSystem nonposted(sim_np, cfg_np);
+    Fabric nonposted(sim_np, loadFabricDesc(storageJson));
     double np = nonposted.runDd(dd);
 
     Simulation sim_p;
-    SystemConfig cfg_p;
-    cfg_p.disk.postedWrites = true;
-    StorageSystem posted(sim_p, cfg_p);
+    FabricDesc desc = loadFabricDesc(storageJson);
+    desc.config.disk.postedWrites = true;
+    Fabric posted(sim_p, desc);
     double p = posted.runDd(dd);
 
     EXPECT_GT(p, np);

@@ -13,7 +13,7 @@
 #include <sstream>
 #include <string>
 
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 using namespace pciesim::literals;
@@ -29,10 +29,12 @@ struct RunResult
 
 RunResult
 runOnce(const SystemConfig &cfg, std::uint64_t block_bytes,
-        const std::function<void(StorageSystem &)> &check = nullptr)
+        const std::function<void(Fabric &)> &check = nullptr)
 {
     Simulation sim;
-    StorageSystem system(sim, cfg);
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+    desc.config = cfg;
+    Fabric system(sim, desc);
     DdWorkloadParams dd;
     dd.blockBytes = block_bytes;
 
@@ -55,7 +57,7 @@ TEST(ResilienceTest, SurpriseUnplugRecoversAndDdCompletes)
     cfg.aerEnabled = true;
     cfg.unplugAtChunk = 8; // mid-transfer: a 1 MB dd has 256 chunks
 
-    RunResult r = runOnce(cfg, 1 << 20, [](StorageSystem &sys) {
+    RunResult r = runOnce(cfg, 1 << 20, [](Fabric &sys) {
         // The scripted fault fired exactly once, mid-DMA.
         EXPECT_EQ(sys.disk().unplugs(), 1u);
         EXPECT_FALSE(sys.disk().unplugged()); // re-seated
@@ -106,7 +108,7 @@ TEST(ResilienceTest, QuiescentAerLeavesStatsDumpIdentical)
 
     SystemConfig aer;
     aer.aerEnabled = true;
-    RunResult quiet = runOnce(aer, 1 << 20, [](StorageSystem &sys) {
+    RunResult quiet = runOnce(aer, 1 << 20, [](Fabric &sys) {
         EXPECT_EQ(sys.errReporter()->delivered(
                       ErrSeverity::Correctable), 0u);
         EXPECT_EQ(sys.errReporter()->delivered(ErrSeverity::Fatal),
@@ -146,7 +148,7 @@ TEST(ResilienceTest, SustainedErrorsDegradeTheLink)
     cfg.degradeWindow = 100_us;
     cfg.upconfigureDelay = 1_s; // stay degraded through the run
 
-    RunResult r = runOnce(cfg, 1 << 20, [](StorageSystem &sys) {
+    RunResult r = runOnce(cfg, 1 << 20, [](Fabric &sys) {
         std::uint64_t degradations = 0;
         std::uint64_t upconfigures = 0;
         for (PcieLink *link : sys.links()) {
@@ -174,7 +176,7 @@ TEST(ResilienceTest, DegradedLinkUpconfiguresAfterBackoff)
     cfg.degradeWindow = 50_us;
     cfg.upconfigureDelay = 20_us;
 
-    runOnce(cfg, 1 << 20, [](StorageSystem &sys) {
+    runOnce(cfg, 1 << 20, [](Fabric &sys) {
         std::uint64_t degradations = 0;
         std::uint64_t upconfigures = 0;
         for (PcieLink *link : sys.links()) {

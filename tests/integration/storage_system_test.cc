@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 using namespace pciesim::literals;
@@ -15,19 +15,14 @@ using namespace pciesim::literals;
 namespace
 {
 
-SystemConfig
-defaultConfig()
-{
-    SystemConfig cfg;
-    return cfg;
-}
+const char *const storageJson = PCIESIM_TOPOLOGY_DIR "/storage.json";
 
 } // namespace
 
-TEST(StorageSystem, BootEnumeratesAndProbes)
+TEST(StorageFabric, BootEnumeratesAndProbes)
 {
     Simulation sim;
-    StorageSystem system(sim, defaultConfig());
+    Fabric system(sim, loadFabricDesc(storageJson));
     system.boot();
 
     const auto &result = system.kernel().enumerate();
@@ -57,10 +52,10 @@ TEST(StorageSystem, BootEnumeratesAndProbes)
     }
 }
 
-TEST(StorageSystem, SmallDdTransferCompletes)
+TEST(StorageFabric, SmallDdTransferCompletes)
 {
     Simulation sim;
-    StorageSystem system(sim, defaultConfig());
+    Fabric system(sim, loadFabricDesc(storageJson));
 
     DdWorkloadParams dd;
     dd.blockBytes = 1 << 20; // 1 MB
@@ -73,13 +68,12 @@ TEST(StorageSystem, SmallDdTransferCompletes)
     EXPECT_EQ(Packet::liveCount(), 0u) << "packet leak";
 }
 
-TEST(StorageSystem, DeviceLevelThroughputNearGen2X1Line)
+TEST(StorageFabric, DeviceLevelThroughputNearGen2X1Line)
 {
     // Paper Sec. VI-B: at device level each 4 KB chunk moves at
     // ~3.07 Gbps over a Gen 2 x1 link (64 B payload per 168 ns).
     Simulation sim;
-    SystemConfig cfg = defaultConfig();
-    StorageSystem system(sim, cfg);
+    Fabric system(sim, loadFabricDesc(storageJson));
 
     DdWorkloadParams dd;
     dd.blockBytes = 4 << 20;

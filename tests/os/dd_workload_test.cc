@@ -6,16 +6,23 @@
 
 #include <gtest/gtest.h>
 
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 using namespace pciesim::literals;
+
+namespace
+{
+
+const char *const storageJson = PCIESIM_TOPOLOGY_DIR "/storage.json";
+
+} // namespace
 
 TEST(IdeDriverTest, SplitsRequestsIntoPrdSizedCommands)
 {
     // 1 MB = 16 commands of 128 sectors (the 64 KB PRD limit).
     Simulation sim;
-    StorageSystem system(sim, SystemConfig{});
+    Fabric system(sim, loadFabricDesc(storageJson));
     system.runDd([] {
         DdWorkloadParams dd;
         dd.blockBytes = 1 << 20;
@@ -30,7 +37,7 @@ TEST(IdeDriverTest, OddSizesStillRoundTrip)
     // A non-power-of-two sector count: 65 KB = 130 sectors =
     // one 128-sector command plus a 2-sector tail command.
     Simulation sim;
-    StorageSystem system(sim, SystemConfig{});
+    Fabric system(sim, loadFabricDesc(storageJson));
     DdWorkloadParams dd;
     dd.blockBytes = 130 * 512;
     system.runDd(dd);
@@ -41,7 +48,7 @@ TEST(IdeDriverTest, OddSizesStillRoundTrip)
 TEST(DdWorkloadTest, MultipleBlocksAccumulate)
 {
     Simulation sim;
-    StorageSystem system(sim, SystemConfig{});
+    Fabric system(sim, loadFabricDesc(storageJson));
     system.boot();
 
     DdWorkloadParams dd;
@@ -63,7 +70,7 @@ TEST(DdWorkloadTest, OverheadLowersReportedThroughput)
 {
     auto run = [](Tick invocation_overhead) {
         Simulation sim;
-        StorageSystem system(sim, SystemConfig{});
+        Fabric system(sim, loadFabricDesc(storageJson));
         DdWorkloadParams dd;
         dd.blockBytes = 256 * 1024;
         dd.invocationOverhead = invocation_overhead;
@@ -78,7 +85,7 @@ TEST(DdWorkloadTest, LargerBlocksAmortizeFixedCosts)
 {
     auto run = [](std::uint64_t bytes) {
         Simulation sim;
-        StorageSystem system(sim, SystemConfig{});
+        Fabric system(sim, loadFabricDesc(storageJson));
         DdWorkloadParams dd;
         dd.blockBytes = bytes;
         return system.runDd(dd);
@@ -90,7 +97,7 @@ TEST(DdWorkloadTest, LargerBlocksAmortizeFixedCosts)
 TEST(DdWorkloadTest, ElapsedMatchesThroughput)
 {
     Simulation sim;
-    StorageSystem system(sim, SystemConfig{});
+    Fabric system(sim, loadFabricDesc(storageJson));
     DdWorkloadParams dd;
     dd.blockBytes = 512 * 1024;
     double gbps = system.runDd(dd);

@@ -8,16 +8,24 @@
 #include <gtest/gtest.h>
 
 #include "../common/test_ports.hh"
-#include "topo/nic_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 using namespace pciesim::test;
 using namespace pciesim::literals;
 
+namespace
+{
+
+const char *const loopbackJson =
+    PCIESIM_TOPOLOGY_DIR "/nic_loopback.json";
+
+} // namespace
+
 TEST(KernelTest, AllocDmaRespectsAlignment)
 {
     Simulation sim;
-    NicSystem system(sim, NicSystemConfig{});
+    Fabric system(sim, loadFabricDesc(loopbackJson));
     Kernel &k = system.kernel();
 
     Addr a = k.allocDma(100, 64);
@@ -32,7 +40,7 @@ TEST(KernelTest, AllocDmaRespectsAlignment)
 TEST(KernelTest, FunctionalMemoryRoundTrip)
 {
     Simulation sim;
-    NicSystem system(sim, NicSystemConfig{});
+    Fabric system(sim, loadFabricDesc(loopbackJson));
     Kernel &k = system.kernel();
 
     k.memWrite<std::uint32_t>(0x80200000, 0xcafef00d);
@@ -48,7 +56,7 @@ TEST(KernelTest, FunctionalMemoryRoundTrip)
 TEST(KernelTest, DeferRunsAfterDelay)
 {
     Simulation sim;
-    NicSystem system(sim, NicSystemConfig{});
+    Fabric system(sim, loadFabricDesc(loopbackJson));
     Kernel &k = system.kernel();
     sim.initialize();
 
@@ -61,10 +69,10 @@ TEST(KernelTest, DeferRunsAfterDelay)
 TEST(KernelTest, MmioOpsCompleteInOrder)
 {
     Simulation sim;
-    NicSystem system(sim, NicSystemConfig{});
+    Fabric system(sim, loadFabricDesc(loopbackJson));
     system.boot();
     Kernel &k = system.kernel();
-    Addr base = system.nicMmioBase();
+    Addr base = system.nicMmioBase(0);
 
     std::vector<int> order;
     k.mmioWrite(base + nicreg::tdh, 4, 7, [&] {
@@ -224,7 +232,7 @@ TEST(KernelTest, CompletionOneTickBeforeTimeoutCompletes)
 TEST(KernelTest, ConfigAccessGoesThroughPciHost)
 {
     Simulation sim;
-    NicSystem system(sim, NicSystemConfig{});
+    Fabric system(sim, loadFabricDesc(loopbackJson));
     Kernel &k = system.kernel();
     // The NIC registered at bus 1 device 0.
     EXPECT_EQ(k.configRead(Bdf{1, 0, 0}, 0x00, 2), 0x8086u);
@@ -236,7 +244,7 @@ TEST(KernelTest, ConfigAccessGoesThroughPciHost)
 TEST(KernelTest, EnumerationIsIdempotent)
 {
     Simulation sim;
-    NicSystem system(sim, NicSystemConfig{});
+    Fabric system(sim, loadFabricDesc(loopbackJson));
     Kernel &k = system.kernel();
     const auto &r1 = k.enumerate();
     std::size_t n = r1.functions.size();

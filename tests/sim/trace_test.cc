@@ -16,7 +16,7 @@
 
 #include "sim/json.hh"
 #include "sim/trace.hh"
-#include "topo/storage_system.hh"
+#include "topo/fabric_builder.hh"
 
 using namespace pciesim;
 
@@ -170,10 +170,10 @@ TEST(TraceChromeSink, DdRunProducesLinkAndDmaSpans)
 
     {
         Simulation sim;
-        SystemConfig cfg;
-        cfg.traceOut = path;
-        cfg.traceFlags = "Link,Dma,Mmio";
-        StorageSystem system(sim, cfg);
+        FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+        desc.config.traceOut = path;
+        desc.config.traceFlags = "Link,Dma,Mmio";
+        Fabric system(sim, desc);
         DdWorkloadParams dd;
         dd.blockBytes = 64 * 1024;
         double gbps = system.runDd(dd);
@@ -233,11 +233,11 @@ TEST(TraceSampler, EmitsRowsAndCounters)
     const std::string path = "trace_test_sampler.json";
 
     Simulation sim;
-    SystemConfig cfg;
-    cfg.traceOut = path;
-    cfg.traceFlags = "Stats";
-    cfg.statsSampleInterval = microseconds(5);
-    StorageSystem system(sim, cfg);
+    FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+    desc.config.traceOut = path;
+    desc.config.traceFlags = "Stats";
+    desc.config.statsSampleInterval = microseconds(5);
+    Fabric system(sim, desc);
     DdWorkloadParams dd;
     dd.blockBytes = 256 * 1024;
     system.runDd(dd);

@@ -31,11 +31,9 @@
 #include <string>
 #include <utility>
 
-#include "../common/topology_dir.hh"
 #include "topo/fabric_builder.hh"
 
 using namespace pciesim;
-using pciesim::test::topologyDir;
 using namespace pciesim::literals;
 
 namespace
@@ -46,7 +44,7 @@ std::pair<double, std::string>
 runFanout(unsigned threads)
 {
     FabricDesc desc =
-        loadFabricDesc(topologyDir() + "/fanout256.json");
+        loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/fanout256.json");
     desc.config.threads = threads;
     desc.config.linkPropagation = 500_ns;
     desc.config.ackImmediate = true;

@@ -24,13 +24,11 @@
 #include <string>
 #include <utility>
 
-#include "../common/topology_dir.hh"
 #include "sim/parallel.hh"
 #include "sim/profiler.hh"
 #include "topo/fabric_builder.hh"
 
 using namespace pciesim;
-using pciesim::test::topologyDir;
 using namespace pciesim::literals;
 
 namespace
@@ -69,7 +67,7 @@ runFanout(unsigned threads)
     // first run's event counts.
     prof::reset();
     FabricDesc desc =
-        loadFabricDesc(topologyDir() + "/fanout256.json");
+        loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/fanout256.json");
     desc.config.threads = threads;
     desc.config.linkPropagation = 500_ns;
     desc.config.ackImmediate = true;

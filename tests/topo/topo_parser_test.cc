@@ -5,7 +5,8 @@
  * names, out-of-range values, unresolvable parents — must die with
  * a fatal() citing the source file and the offending line, never a
  * silent default or a crash deeper in the builder (ISSUE 9,
- * satellite 1).
+ * satellite 1). The well-formed examples no other test drives must
+ * load, build and run their natural workload.
  */
 
 #include <gtest/gtest.h>
@@ -505,6 +506,28 @@ TEST(TopoValidate, FileErrorsCiteTheFilename)
               std::string::npos) << msg;
     EXPECT_NE(msg.find("cannot open file"), std::string::npos)
         << msg;
+}
+
+TEST(TopoExamples, Tree3LoadsAndRuns)
+{
+    Simulation sim;
+    Fabric fabric(sim, loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/tree3.json"));
+    EXPECT_EQ(fabric.numSwitches(), 3u);
+    EXPECT_EQ(fabric.numTrafficGens(), 4u);
+    fabric.boot();
+    EXPECT_GT(fabric.runDirectWrites(2, 4096), 0.0);
+}
+
+TEST(TopoExamples, Fanout256LoadsAndRuns)
+{
+    Simulation sim;
+    FabricDesc desc =
+        loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/fanout256.json");
+    EXPECT_FALSE(desc.enumerate);
+    Fabric fabric(sim, desc);
+    EXPECT_EQ(fabric.numSwitches(), 17u);
+    EXPECT_EQ(fabric.numTrafficGens(), 256u);
+    EXPECT_GT(fabric.runDirectWrites(1, 4096), 0.0);
 }
 
 } // namespace

@@ -21,12 +21,10 @@
 #include <string>
 #include <vector>
 
-#include "../common/topology_dir.hh"
 #include "sim/logging.hh"
 #include "topo/fabric_builder.hh"
 
 using namespace pciesim;
-using pciesim::test::topologyDir;
 
 namespace
 {
@@ -48,7 +46,7 @@ exampleTopologies()
 {
     std::vector<std::string> paths;
     for (const auto &entry :
-         std::filesystem::directory_iterator(topologyDir())) {
+         std::filesystem::directory_iterator(PCIESIM_TOPOLOGY_DIR)) {
         if (entry.path().extension() == ".json")
             paths.push_back(entry.path().string());
     }
@@ -175,7 +173,8 @@ buildOrFatal(const std::string &text, const std::string &what)
 TEST(TopologyFuzz, MutantsBuildOrCiteFileAndLine)
 {
     std::vector<std::string> paths = exampleTopologies();
-    ASSERT_FALSE(paths.empty()) << "no topologies in " << topologyDir();
+    ASSERT_FALSE(paths.empty())
+        << "no topologies in " << PCIESIM_TOPOLOGY_DIR;
     unsigned built = 0, rejected = 0;
     for (const std::string &path : paths) {
         const std::string text = slurp(path);

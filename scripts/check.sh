@@ -13,7 +13,9 @@
 #   6. pciesim-report self-smoke: a diff of identical stats.json
 #      dumps must exit 0
 #   7. asan-ubsan preset: build + tier-1 ctest (pool poisoning live)
-#   8. tsan preset: bench_kernel --threads 4 --smoke, the
+#   8. tsan preset: bench_kernel --threads 4 --smoke,
+#      bench_fig9a --smoke --threads 4 (the storage fabric's cut
+#      links, one wide window then unlocked inline ones), the
 #      parallel engine unit tests (16 domains on 8 workers
 #      included) and the parallel telemetry unit tests under
 #      ThreadSanitizer (the engine's data-race gate)
@@ -80,11 +82,12 @@ cmake --preset asan-ubsan >/dev/null
 cmake --build build-asan -j "$jobs"
 ctest --test-dir build-asan -LE tier2 -j "$jobs" --output-on-failure
 
-echo "== [8/9] tsan bench_kernel --smoke + parallel engine tests =="
+echo "== [8/9] tsan bench smokes + parallel engine tests =="
 cmake --preset tsan >/dev/null
 cmake --build build-tsan -j "$jobs" --target bench_kernel \
-    parallel_engine_test parallel_telemetry_test
+    bench_fig9a parallel_engine_test parallel_telemetry_test
 ./build-tsan/bench/bench_kernel --smoke --json >/dev/null
+./build-tsan/bench/bench_fig9a --smoke --threads 4 >/dev/null
 ./build-tsan/tests/parallel_engine_test
 ./build-tsan/tests/parallel_telemetry_test
 

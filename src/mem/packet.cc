@@ -52,12 +52,26 @@ Packet::Packet(MemCmd cmd, Addr addr, unsigned size, RequestorId requestor)
     : cmd_(cmd), addr_(addr), size_(size), requestorId_(requestor),
       id_(par::engineActive ? par::domainPacketId() : nextId_++)
 {
-    liveCount_.fetch_add(1, std::memory_order_relaxed);
+    addLive(1);
 }
 
 Packet::~Packet()
 {
-    liveCount_.fetch_sub(1, std::memory_order_relaxed);
+    addLive(-1);
+}
+
+void
+Packet::addLive(std::int64_t delta)
+{
+    // Only a fanned-out window can count from two threads at once;
+    // elsewhere a plain load and store skip the locked instruction.
+    const auto d = static_cast<std::uint64_t>(delta);
+    if (par::concurrent) [[unlikely]] {
+        liveCount_.fetch_add(d, std::memory_order_relaxed);
+    } else {
+        liveCount_.store(liveCount_.load(std::memory_order_relaxed) + d,
+                         std::memory_order_relaxed);
+    }
 }
 
 PacketPtr

@@ -148,11 +148,14 @@ MemCmd responseCommand(MemCmd c);
  * audit builds (sim/invariant.hh) the pool additionally tracks the
  * outstanding-block set to catch double frees and foreign pointers.
  *
- * Single-threaded runs take no locks; while the parallel engine is
- * active (par::engineActive) the pool serializes on a mutex, since
- * TLPs from any domain can be freed by any other after crossing a
- * link. The flag-gated lock keeps the legacy fast path at one
- * predictable branch.
+ * The pool serializes on a mutex only while a fanned-out engine
+ * window runs (par::concurrent), since TLPs from any domain can be
+ * freed by any other after crossing a link. Single-queue runs and
+ * the engine's narrow windows, which one thread runs while every
+ * other worker is parked, take no lock; the flag-gated lock keeps
+ * that fast path at one predictable branch. Audit builds check that
+ * an unlocked call inside an engine run comes from the barrier
+ * holder's thread.
  */
 class PacketPool
 {
@@ -183,8 +186,10 @@ class PacketPool
     allocate()
     {
         std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
-        if (par::engineActive) [[unlikely]]
+        if (par::concurrent) [[unlikely]]
             lock.lock();
+        else
+            par::auditExclusive("pool allocate");
         ++allocs_;
         void *p = nullptr;
 #if PCIESIM_POOL_PASSTHROUGH
@@ -211,8 +216,10 @@ class PacketPool
     deallocate(void *p) noexcept
     {
         std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
-        if (par::engineActive) [[unlikely]]
+        if (par::concurrent) [[unlikely]]
             lock.lock();
+        else
+            par::auditExclusive("pool deallocate");
         PCIESIM_AUDIT(auditLive_.erase(p) == 1,
                       "pool deallocate of ", p,
                       ": double free or foreign pointer");
@@ -283,11 +290,13 @@ class PacketPool
 class Packet;
 
 /**
- * Intrusive reference-counted handle to a Packet. Single-threaded
- * runs use plain (non-atomic) counting; while the parallel engine
- * is active the count is manipulated through std::atomic_ref, since
- * a TLP's replay-buffer handle and its delivered handle can sit on
- * opposite sides of a link (and so in different domains).
+ * Intrusive reference-counted handle to a Packet. The count is
+ * manipulated through std::atomic_ref only while a fanned-out
+ * engine window runs (par::concurrent), since a TLP's replay-buffer
+ * handle and its delivered handle can sit on opposite sides of a
+ * link (and so in different domains, on different workers); every
+ * other increment or decrement, narrow engine windows included, is
+ * a plain one.
  */
 class PacketPtr
 {
@@ -459,10 +468,11 @@ class Packet final
     void
     incRef()
     {
-        if (par::engineActive) [[unlikely]] {
+        if (par::concurrent) [[unlikely]] {
             std::atomic_ref<int>(refCount_).fetch_add(
                 1, std::memory_order_relaxed);
         } else {
+            par::auditExclusive("refcount increment");
             ++refCount_;
         }
     }
@@ -471,12 +481,16 @@ class Packet final
     bool
     decRef()
     {
-        if (par::engineActive) [[unlikely]] {
+        if (par::concurrent) [[unlikely]] {
             return std::atomic_ref<int>(refCount_).fetch_sub(
                        1, std::memory_order_acq_rel) == 1;
         }
+        par::auditExclusive("refcount decrement");
         return --refCount_ == 0;
     }
+
+    /** Adjust liveCount_; atomic only while par::concurrent. */
+    static void addLive(std::int64_t delta);
 
     MemCmd cmd_;
     Addr addr_;
@@ -487,7 +501,7 @@ class Packet final
     Tick creationTick_ = 0;
     std::vector<std::uint8_t> data_;
     /** Plain int, promoted to std::atomic_ref by incRef/decRef
-     *  while the parallel engine runs. */
+     *  while a fanned-out engine window runs. */
     int refCount_ = 0;
 
     static std::atomic<std::uint64_t> liveCount_;

@@ -38,7 +38,9 @@ ErrReporter::report(const ErrMsg &msg)
     Tick now = cross ? par::currentQueue()->curTick() : curTick();
     Tick when = now + deliveryLatency_;
     {
-        std::lock_guard<std::mutex> lock(pendingMu_);
+        std::unique_lock<std::mutex> lock(pendingMu_, std::defer_lock);
+        if (par::concurrent)
+            lock.lock();
         pending_.push_back(msg);
     }
     TRACE_MSG(Flag::Rc, now, name(), "queue ",
@@ -74,7 +76,9 @@ ErrReporter::deliver()
     ErrMsg msg;
     bool more = false;
     {
-        std::lock_guard<std::mutex> lock(pendingMu_);
+        std::unique_lock<std::mutex> lock(pendingMu_, std::defer_lock);
+        if (par::concurrent)
+            lock.lock();
         if (pending_.empty())
             return; // drained by an earlier mailboxed wake-up
         msg = pending_.front();

@@ -67,7 +67,8 @@ class ErrReporter : public SimObject
 
     Tick deliveryLatency_;
     std::function<void(const ErrMsg &)> sink_;
-    /** Messages in flight; guarded for cross-domain report(). */
+    /** Messages in flight; pendingMu_ guards them for a
+     *  cross-domain report() in a fanned-out engine window. */
     std::deque<ErrMsg> pending_;
     std::mutex pendingMu_;
     stats::Vector deliveredBySev_;

@@ -80,7 +80,7 @@ UnidirectionalLink::send(const PciePkt &pkt)
     {
         std::unique_lock<std::mutex> lock(inFlightMu_,
                                           std::defer_lock);
-        if (cross_)
+        if (cross_ && par::concurrent)
             lock.lock();
         inFlight_.push_back({arrive, key_order, key_tie, wire_pkt});
     }
@@ -116,7 +116,7 @@ UnidirectionalLink::deliver()
     PciePkt pkt = [this] {
         std::unique_lock<std::mutex> lock(inFlightMu_,
                                           std::defer_lock);
-        if (cross_)
+        if (cross_ && par::concurrent)
             lock.lock();
         panicIf(inFlight_.empty(),
                 "link delivery with nothing in flight");

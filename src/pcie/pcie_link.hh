@@ -155,8 +155,10 @@ class PcieLink;
  * In a partitioned simulation the two ends can live in different
  * link domains (PcieLink::setDomains): send() then runs on the
  * source domain and delivery on the sink domain, with the in-flight
- * queue as the only shared state (guarded by a mutex on cut wires
- * only) and the delivery event posted through the engine's mailbox.
+ * queue as the only shared state and the delivery event posted
+ * through the engine's mailbox. A mutex guards the queue on cut
+ * wires in fanned-out windows only: in a narrow window one thread
+ * runs both ends, and the window barrier orders every hand-off.
  */
 class UnidirectionalLink
 {
@@ -222,7 +224,9 @@ class UnidirectionalLink
         PciePkt pkt;
     };
     std::deque<InFlight> inFlight_;
-    /** Guards inFlight_; taken on cut wires only. */
+    /** Guards inFlight_; taken on cut wires only, and there only
+     *  in fanned-out engine windows (par::concurrent), the only
+     *  time sender and sink can run on different threads at once. */
     std::mutex inFlightMu_;
     MemberEventWrapper<UnidirectionalLink,
                        &UnidirectionalLink::deliver> deliverEvent_;

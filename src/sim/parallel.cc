@@ -20,11 +20,16 @@ namespace par
 {
 
 bool engineActive = false;
+bool concurrent = false;
 ParallelEngine *activeEngine = nullptr;
 
 namespace
 {
 thread_local EventQueue *tlsQueue = nullptr;
+#ifdef PCIESIM_ENABLE_AUDIT
+/** The thread running narrow windows; written with concurrent. */
+std::thread::id holderThread;
+#endif
 } // namespace
 
 EventQueue *
@@ -40,6 +45,18 @@ domainPacketId()
     return (static_cast<std::uint64_t>(q->domainId()) << 48) |
            q->takeDomainSerial();
 }
+
+#ifdef PCIESIM_ENABLE_AUDIT
+void
+auditExclusive(const char *what)
+{
+    PCIESIM_AUDIT(!engineActive || concurrent ||
+                      std::this_thread::get_id() == holderThread,
+                  "unlocked ", what,
+                  " off the barrier holder's thread in a narrow "
+                  "window");
+}
+#endif
 
 } // namespace par
 
@@ -393,6 +410,10 @@ ParallelEngine::run(Tick max_tick)
     }
 #endif
     par::engineActive = true;
+    // The first window always fans out; with one worker nothing
+    // ever runs concurrently.
+    par::concurrent = threads_ > 1;
+    PCIESIM_AUDIT_ONLY(par::holderThread = std::this_thread::get_id();)
     par::activeEngine = this;
 
     stop_.store(false, std::memory_order_relaxed);
@@ -470,6 +491,11 @@ ParallelEngine::run(Tick max_tick)
             });
             if (!last)
                 continue;
+            // Every other worker is parked until release(), so the
+            // holder's windows need no locks (DESIGN.md §10).
+            par::concurrent = false;
+            PCIESIM_AUDIT_ONLY(
+                par::holderThread = std::this_thread::get_id();)
             while (!stop_.load(std::memory_order_relaxed) &&
                    !fanOut_) {
                 const Tick inline_horizon = windowEnd_ - 1;
@@ -477,6 +503,7 @@ ParallelEngine::run(Tick max_tick)
                     runDomainWindow(d, inline_horizon);
                 sync_window(w, seen, on_completion);
             }
+            par::concurrent = threads_ > 1;
             barrier.release();
         }
 #if PCIESIM_PROFILING
@@ -493,6 +520,7 @@ ParallelEngine::run(Tick max_tick)
         t.join();
 
     par::activeEngine = nullptr;
+    par::concurrent = false;
     par::engineActive = false;
 #if PCIESIM_TRACING
     if (tracing_)

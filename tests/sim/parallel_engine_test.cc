@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "mem/packet.hh"
 #include "sim/event.hh"
 #include "sim/invariant.hh"
 #include "sim/parallel.hh"
@@ -487,6 +488,100 @@ TEST(ParallelEngineTest, WideAndNarrowWindowsInterleave)
     EXPECT_EQ(one.stats, four.stats);
 }
 
+TEST(ParallelEngineTest, ConcurrentOnlyInFannedOutWindows)
+{
+    // par::concurrent gates only synchronization, so it must be
+    // true exactly in fanned-out windows: the first window of a run
+    // and every wide one, never an inline window, never at one
+    // worker and never outside run(). The same shape as
+    // WideAndNarrowWindowsInterleave; here each narrow token
+    // releases the packets the last wide window allocated and
+    // allocates one per domain, which the next wide window's events
+    // release on their workers. Every hand-off between the locked
+    // and the unlocked pool and refcount paths goes through the
+    // window barrier, so the live count and the pool's free list
+    // must come back to where they started.
+    constexpr unsigned domains = 16;
+    constexpr int rounds = 100;
+
+    // Warm the pool past the run's peak (two packets per domain),
+    // so every allocation below recycles a block.
+    {
+        std::vector<PacketPtr> warm;
+        for (unsigned i = 0; i < 4 * domains; ++i)
+            warm.push_back(Packet::makeRequest(MemCmd::ReadReq, 0, 4));
+    }
+
+    auto run = [](unsigned threads) {
+        const std::uint64_t live = Packet::liveCount();
+        const std::size_t free_blocks = Packet::pool().freeBlocks();
+        EXPECT_FALSE(par::concurrent);
+
+        Simulation sim;
+        for (unsigned d = 1; d < domains; ++d)
+            sim.addDomain();
+        sim.setupParallel(threads, quantum);
+
+        // Flag readings per domain, each vector written only from
+        // its domain's windows; the token's first fire is in the
+        // run's first window, later ones in inline windows.
+        std::vector<std::vector<bool>> wide(domains);
+        std::vector<bool> first_token;
+        std::vector<bool> narrow;
+        std::vector<PacketPtr> from_narrow(domains);
+        std::vector<PacketPtr> from_wide(domains);
+        std::function<void(unsigned, bool)> busy = [&](unsigned d,
+                                                       bool echo) {
+            wide[d].push_back(par::concurrent);
+            if (echo)
+                return;
+            from_narrow[d] = nullptr;
+            from_wide[d] = Packet::makeRequest(MemCmd::WriteReq, d, 4);
+            const unsigned next = (d + 1) % domains;
+            sim.callAt(next, sim.curTick() + 2 * quantum,
+                       [&busy, next] { busy(next, true); });
+        };
+        std::function<void(unsigned, int)> token = [&](unsigned d,
+                                                       int left) {
+            (sim.curTick() < quantum ? first_token : narrow)
+                .push_back(par::concurrent);
+            for (unsigned x = 0; x < domains; ++x) {
+                from_wide[x] = nullptr;
+                if (left > 0) {
+                    from_narrow[x] =
+                        Packet::makeRequest(MemCmd::ReadReq, x, 4);
+                }
+            }
+            if (left == 0)
+                return;
+            const Tick at = sim.curTick() + quantum;
+            for (unsigned x = 0; x < domains; ++x)
+                sim.callAt(x, at, [&busy, x] { busy(x, false); });
+            const unsigned next = (d + 3) % domains;
+            sim.callAt(next, at + quantum,
+                       [&token, next, left] { token(next, left - 1); });
+        };
+        EventFunctionWrapper start([&] { token(0, rounds); },
+                                   "test.start");
+        sim.domainQueue(0).schedule(&start, 0);
+        sim.run();
+        EXPECT_FALSE(par::concurrent);
+
+        const bool fanned = threads > 1;
+        EXPECT_EQ(first_token, std::vector<bool>{fanned});
+        EXPECT_EQ(narrow, std::vector<bool>(rounds, false));
+        for (const std::vector<bool> &flags : wide) {
+            // One plain and one echo event per round, each domain.
+            EXPECT_EQ(flags, std::vector<bool>(2 * rounds, fanned));
+        }
+        EXPECT_EQ(Packet::liveCount(), live);
+        EXPECT_EQ(Packet::pool().freeBlocks(), free_blocks);
+    };
+
+    run(1);
+    run(4);
+}
+
 TEST(ParallelEngineDeathTest, SubQuantumCrossDomainPostPanics)
 {
     // A cross-domain arrival inside the current window means the
@@ -510,4 +605,35 @@ TEST(ParallelEngineDeathTest, SubQuantumCrossDomainPostPanics)
             t.sim.run();
         },
         "inside the window");
+}
+
+TEST(ParallelEngineDeathTest, SecondThreadInNarrowWindowPanics)
+{
+    // A narrow window runs unlocked on the barrier holder alone, so
+    // a pool operation from any other thread there is a data race
+    // the window barrier does not order; audit builds must name it.
+    if (!auditEnabled)
+        GTEST_SKIP() << "audit disabled in this build";
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+
+    EXPECT_DEATH(
+        {
+            TwoDomainSim t(2);
+            // Two domains never outnumber two workers, so every
+            // window after the first runs inline.
+            EventFunctionWrapper first([] {}, "test.first");
+            EventFunctionWrapper intruder(
+                [] {
+                    std::thread other([] {
+                        (void)Packet::makeRequest(MemCmd::ReadReq, 0,
+                                                  4);
+                    });
+                    other.join();
+                },
+                "test.intruder");
+            t.sim.domainQueue(0).schedule(&first, 0);
+            t.sim.domainQueue(1).schedule(&intruder, 3 * quantum);
+            t.sim.run();
+        },
+        "unlocked pool allocate off the barrier holder's thread");
 }

@@ -1,7 +1,9 @@
 /**
  * @file
  * Golden-stats regression suite: canonical scenarios (the Table II
- * MMIO shape, the Fig. 9a dd shape, and a seeded fault run) dump
+ * MMIO shape, the Fig. 9a dd shape on the PCIe fabric and on the
+ * legacy IOBus baseline, a generated switch tree, and seeded fault
+ * and unplug runs) dump
  * their full statistics registry and diff it against blessed files
  * in tests/golden/. Any behavioural drift — a latency change, an
  * extra replay, a reordered DLLP — shows up as a one-line diff.
@@ -179,4 +181,41 @@ TEST(GoldenStats, UnplugAndRecoverShape)
     os << formatDouble("goodput_gbps", gbps);
     sim.statsRegistry().dump(os);
     checkGolden("unplug_recover_chunk8", os.str());
+}
+
+TEST(GoldenStats, BaselineDdShape)
+{
+    // The Sec. VI-A baseline: the same 1 MiB dd with the disk on
+    // the flat IOBus (legacy-io style, no PCIe links).
+    Simulation sim;
+    Fabric system(sim,
+                  loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/baseline.json"));
+    DdWorkloadParams dd;
+    dd.blockBytes = 1 << 20;
+    double gbps = system.runDd(dd);
+
+    std::ostringstream os;
+    os << "# scenario: baseline dd 1 MiB, legacy-io IOBus topology\n";
+    os << formatDouble("goodput_gbps", gbps);
+    sim.statsRegistry().dump(os);
+    checkGolden("baseline_dd_1mb", os.str());
+}
+
+TEST(GoldenStats, Tree3DirectWriteShape)
+{
+    // A generated tree: switches under a switch, count expansion,
+    // and per-link gen/width overrides (x8 Gen3 root link, x4
+    // switch links, x1 Gen2 endpoint links), driven by direct DMA
+    // writes after enumeration.
+    Simulation sim;
+    Fabric system(sim,
+                  loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/tree3.json"));
+    system.boot();
+    double gbps = system.runDirectWrites(4, 4096);
+
+    std::ostringstream os;
+    os << "# scenario: tree3 direct writes, 4 x 4 KiB per generator\n";
+    os << formatDouble("goodput_gbps", gbps);
+    sim.statsRegistry().dump(os);
+    checkGolden("tree3_direct_writes", os.str());
 }

@@ -15,10 +15,13 @@
 #   7. asan-ubsan preset: build + tier-1 ctest (pool poisoning live)
 #   8. tsan preset: bench_kernel --threads 4 --smoke,
 #      bench_fig9a --smoke --threads 4 (the storage fabric's cut
-#      links, one wide window then unlocked inline ones), the
-#      parallel engine unit tests (16 domains on 8 workers
-#      included) and the parallel telemetry unit tests under
-#      ThreadSanitizer (the engine's data-race gate)
+#      links, one wide window then unlocked inline ones),
+#      bench_fabric on tree3.json at --threads 2 (seven link
+#      domains, so windows keep fanning out after the first and
+#      real links hand packets between locked and unlocked
+#      windows), the parallel engine unit tests (16 domains on 8
+#      workers included) and the parallel telemetry unit tests
+#      under ThreadSanitizer (the engine's data-race gate)
 #   9. profiler overhead gate: the default build (profiler compiled
 #      in, disabled; parallel flight recorder live) within 5% of
 #      the notrace build (hook and recorder removed) — bench_fig9a
@@ -85,9 +88,12 @@ ctest --test-dir build-asan -LE tier2 -j "$jobs" --output-on-failure
 echo "== [8/9] tsan bench smokes + parallel engine tests =="
 cmake --preset tsan >/dev/null
 cmake --build build-tsan -j "$jobs" --target bench_kernel \
-    bench_fig9a parallel_engine_test parallel_telemetry_test
+    bench_fig9a bench_fabric parallel_engine_test \
+    parallel_telemetry_test
 ./build-tsan/bench/bench_kernel --smoke --json >/dev/null
 ./build-tsan/bench/bench_fig9a --smoke --threads 4 >/dev/null
+./build-tsan/bench/bench_fabric --smoke \
+    --topology=examples/topologies/tree3.json --threads 2 >/dev/null
 ./build-tsan/tests/parallel_engine_test
 ./build-tsan/tests/parallel_telemetry_test
 

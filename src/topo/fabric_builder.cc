@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -57,6 +58,17 @@ needUInt(const std::string &src, const std::string &key,
                                std::to_string(max));
     }
     return static_cast<std::uint64_t>(d);
+}
+
+/** A positive integer of at most 32 bits. */
+std::uint64_t
+needCount(const std::string &src, const std::string &key,
+          const json::Value &v)
+{
+    std::uint64_t u = needUInt(src, key, v);
+    if (u == 0)
+        jfail(src, v.line, "key '" + key + "' must be >= 1");
+    return u;
 }
 
 Tick
@@ -114,7 +126,7 @@ applyConfigKey(SystemConfig &c, const std::string &src,
             static_cast<std::size_t>(needUInt(src, key, v));
     } else if (key == "replay_buffer_size") {
         c.replayBufferSize =
-            static_cast<std::size_t>(needUInt(src, key, v));
+            static_cast<std::size_t>(needCount(src, key, v));
     } else if (key == "link_propagation_ns") {
         c.linkPropagation = needNsTick(src, key, v);
     } else if (key == "ack_immediate") {
@@ -182,14 +194,14 @@ parseLinkDesc(const std::string &src, const json::Value &v)
         if (key == "name") {
             link.name = needStr(src, key, lv);
         } else if (key == "width") {
-            link.width = static_cast<unsigned>(needUInt(src, key, lv));
+            link.width = static_cast<unsigned>(needCount(src, key, lv));
         } else if (key == "gen") {
-            link.gen = static_cast<int>(needUInt(src, key, lv));
+            link.gen = static_cast<int>(needCount(src, key, lv));
         } else if (key == "bit_error_rate") {
             link.bitErrorRate = needNum(src, key, lv);
         } else if (key == "replay_buffer_size") {
             link.replayBufferSize =
-                static_cast<std::size_t>(needUInt(src, key, lv));
+                static_cast<std::size_t>(needCount(src, key, lv));
         } else {
             jfail(src, lv.line, "unknown link key '" + key + "'");
         }
@@ -237,17 +249,17 @@ parseNodeDesc(const std::string &src, const json::Value &v)
             n.wire = needStr(src, key, nv);
         } else if (key == "chunk_size") {
             n.chunkSize =
-                static_cast<long>(needUInt(src, key, nv));
+                static_cast<unsigned>(needCount(src, key, nv));
         } else if (key == "media_latency_ns") {
-            n.mediaLatencyNs = needNum(src, key, nv);
+            n.mediaLatency = needNsTick(src, key, nv);
         } else if (key == "inter_burst_gap_ns") {
-            n.interBurstGapNs = needNum(src, key, nv);
+            n.interBurstGap = needNsTick(src, key, nv);
         } else if (key == "posted_writes") {
-            n.postedWrites = needBool(src, key, nv) ? 1 : 0;
+            n.postedWrites = needBool(src, key, nv);
         } else if (key == "desc_processing_ns") {
-            n.descProcessingNs = needNum(src, key, nv);
+            n.descProcessing = needNsTick(src, key, nv);
         } else if (key == "allow_msi") {
-            n.allowMsi = needBool(src, key, nv) ? 1 : 0;
+            n.allowMsi = needBool(src, key, nv);
         } else {
             jfail(src, nv.line, "unknown node key '" + key + "'");
         }
@@ -384,6 +396,7 @@ Fabric::Fabric(Simulation &sim, const FabricDesc &desc)
     : sim_(sim), desc_(desc)
 {
     validate();
+    buildHost();
     if (desc_.style == "legacy-io")
         buildLegacyIo();
     else
@@ -428,11 +441,18 @@ Fabric::validate()
             "topology ", desc_.source,
             ": config link widths must be 1..32 lanes");
 
+    static const std::pair<const char *, Kind> kinds[] = {
+        {"switch", Kind::Switch},
+        {"ide_disk", Kind::IdeDisk},
+        {"traffic_gen", Kind::TrafficGen},
+        {"nic", Kind::Nic},
+    };
     std::map<std::string, int> by_name;
-    std::map<std::string, unsigned> link_names;
-    std::map<std::string, unsigned> wire_nics;
-    std::map<int, unsigned> child_count;
+    std::set<std::string> link_names;
+    std::map<std::string, unsigned> wire_groups;
+    std::vector<unsigned> wire_nics;
     for (const FabricNodeDesc &d : desc_.nodes) {
+        const unsigned idx = static_cast<unsigned>(nodes_.size());
         Node n;
         n.desc = d;
         if (d.name.empty())
@@ -443,40 +463,34 @@ Fabric::validate()
         }
         if (by_name.count(d.name))
             failNode(d, "duplicate device name '" + d.name + "'");
-        if (d.kind != "switch" && d.kind != "ide_disk" &&
-            d.kind != "traffic_gen" && d.kind != "nic") {
+        auto kind = std::find_if(
+            std::begin(kinds), std::end(kinds),
+            [&d](const auto &k) { return d.kind == k.first; });
+        if (kind == std::end(kinds)) {
             failNode(d, "unknown device kind '" + d.kind +
                             "' (expected switch, ide_disk, "
                             "traffic_gen, or nic)");
         }
+        n.kind = kind->second;
         if (d.link.gen != 0 && (d.link.gen < 1 || d.link.gen > 5))
             failNode(d, "link gen must be 1..5");
         if (d.link.width > 32)
             failNode(d, "link width must be 1..32 lanes");
         if (d.link.bitErrorRate >= 1.0)
             failNode(d, "link bit error rate must be in [0, 1)");
-        if (d.kind == "switch") {
+        if (n.kind == Kind::Switch) {
             n.ports = d.ports ? d.ports
                               : config.switchDownstreamPorts;
-            if (d.ports == 0)
-                usedSwitchPorts_ = true;
             if (n.ports == 0 || n.ports > 16) {
                 failNode(d, "switch ports must be 1..16");
             }
-        }
-        if (d.link.width == 0) {
-            if (d.kind == "switch")
-                usedUpstreamWidth_ = true;
-            else
-                usedDownstreamWidth_ = true;
         }
         if (d.parent == "rc") {
             n.parentIndex = -1;
             n.portOnParent =
                 static_cast<unsigned>(rootChildren_.size());
             n.depth = 1;
-            rootChildren_.push_back(
-                static_cast<int>(nodes_.size()));
+            rootChildren_.push_back(static_cast<int>(idx));
         } else {
             auto it = by_name.find(d.parent);
             if (it == by_name.end()) {
@@ -485,47 +499,62 @@ Fabric::validate()
                                 "declared before their children)");
             }
             Node &p = nodes_[it->second];
-            if (p.desc.kind != "switch") {
+            if (p.kind != Kind::Switch) {
                 failNode(d, "parent '" + d.parent +
                                 "' is not a switch");
             }
             n.parentIndex = it->second;
-            n.portOnParent = child_count[it->second]++;
+            n.portOnParent = p.children++;
             if (n.portOnParent >= p.ports) {
                 failNode(d, "switch '" + d.parent + "' has more "
                             "children than its " +
                             std::to_string(p.ports) +
                             " downstream ports");
             }
+            if (p.firstChild < 0)
+                p.firstChild = static_cast<int>(idx);
             n.depth = p.depth + 1;
         }
-        if (d.kind == "nic") {
-            if (++wire_nics[d.wire] > 2) {
+        if (n.kind == Kind::Nic) {
+            auto group = wire_groups.emplace(d.wire, wire_nics.size());
+            if (group.second)
+                wire_nics.push_back(0);
+            n.wireGroup = group.first->second;
+            n.wirePort = wire_nics[n.wireGroup]++;
+            if (n.wirePort >= 2) {
                 failNode(d, "Ethernet wire '" + d.wire +
                                 "' connects more than two NICs");
             }
         }
-        std::string lname = d.link.name.empty() ? d.name + "Link"
-                                                : d.link.name;
-        if (link_names.count(lname))
-            failNode(d, "duplicate link name '" + lname + "'");
-        link_names[lname] = 1;
-        by_name[d.name] = static_cast<int>(nodes_.size());
-        unsigned idx = static_cast<unsigned>(nodes_.size());
-        if (d.kind == "switch")
+        FabricLinkDesc &link = n.desc.link;
+        if (link.name.empty())
+            link.name = d.name + "Link";
+        if (!link_names.insert(link.name).second)
+            failNode(d, "duplicate link name '" + link.name + "'");
+        // Unset link fields take the role's SystemConfig default.
+        unsigned width = link.width;
+        if (width == 0) {
+            width = n.kind == Kind::Switch ? config.upstreamLinkWidth
+                                           : config.downstreamLinkWidth;
+        }
+        n.linkParams = config.makeLinkParams(width, idx);
+        if (link.gen > 0)
+            n.linkParams.gen = static_cast<PcieGen>(link.gen);
+        if (link.bitErrorRate >= 0.0)
+            n.linkParams.faults.bitErrorRate = link.bitErrorRate;
+        if (link.replayBufferSize > 0)
+            n.linkParams.replayBufferSize = link.replayBufferSize;
+        by_name[d.name] = static_cast<int>(idx);
+        if (n.kind == Kind::Switch)
             switchIdx_.push_back(idx);
-        else if (d.kind == "ide_disk")
+        else if (n.kind == Kind::IdeDisk)
             diskIdx_.push_back(idx);
-        else if (d.kind == "traffic_gen")
-            genIdx_.push_back(idx);
-        else
-            nicIdx_.push_back(idx);
         nodes_.push_back(std::move(n));
     }
 
     if (desc_.style == "legacy-io") {
         fatalIf(nodes_.size() != 1 ||
-                    nodes_[0].desc.kind != "ide_disk",
+                    nodes_[0].kind != Kind::IdeDisk,
                 "topology ", desc_.source,
                 ": legacy-io style supports exactly one ide_disk "
                 "node");
@@ -545,23 +574,18 @@ Fabric::validate()
         fatalIf(config.aerEnabled, "topology ", desc_.source,
                 ": AER requires an enumerable fabric");
         for (const Node &n : nodes_) {
-            if (n.desc.kind == "ide_disk" || n.desc.kind == "nic") {
+            if (n.kind == Kind::IdeDisk || n.kind == Kind::Nic) {
                 failNode(n.desc, "non-enumerated fabrics support "
                                  "only switch and traffic_gen "
                                  "nodes");
             }
-            if (n.desc.kind == "traffic_gen") {
-                bool posted =
-                    n.desc.postedWrites == 1 ||
-                    (n.desc.postedWrites < 0 &&
-                     desc_.gen.postedWrites);
-                if (!posted) {
-                    failNode(n.desc,
-                             "non-enumerated fabrics require "
-                             "posted_writes on every traffic "
-                             "generator (completions cannot route "
-                             "without bus numbers)");
-                }
+            if (n.kind == Kind::TrafficGen &&
+                !n.desc.postedWrites.value_or(desc_.gen.postedWrites)) {
+                failNode(n.desc,
+                         "non-enumerated fabrics require "
+                         "posted_writes on every traffic "
+                         "generator (completions cannot route "
+                         "without bus numbers)");
             }
         }
         return;
@@ -570,7 +594,8 @@ Fabric::validate()
     // Emulate the enumerator's depth-first bus numbering (see
     // pci/enumerator.cc): every bridge — root port, switch
     // upstream, and each switch downstream port, occupied or not —
-    // consumes one secondary bus, in device-slot order.
+    // consumes one secondary bus, in device-slot order. Children
+    // take their parent's ports in declaration order.
     std::vector<std::vector<int>> kids(nodes_.size());
     for (unsigned i = 0; i < nodes_.size(); ++i) {
         if (nodes_[i].parentIndex >= 0)
@@ -597,16 +622,13 @@ Fabric::validate()
         [&](int idx, unsigned bus) {
             Node &n = nodes_[idx];
             n.bdf = Bdf{static_cast<std::uint8_t>(bus), 0, 0};
-            if (n.desc.kind != "switch")
+            if (n.kind != Kind::Switch)
                 return;
             n.internalBus = next_bus(&n);
-            std::vector<int> at_port(n.ports, -1);
-            for (int k : kids[idx])
-                at_port[nodes_[k].portOnParent] = k;
             for (unsigned j = 0; j < n.ports; ++j) {
                 unsigned child_bus = next_bus(&n);
-                if (at_port[j] >= 0)
-                    assign(at_port[j], child_bus);
+                if (j < kids[idx].size())
+                    assign(kids[idx][j], child_bus);
             }
         };
     unsigned num_root_ports = std::max<unsigned>(
@@ -618,30 +640,6 @@ Fabric::validate()
         if (used)
             assign(rootChildren_[i], bus);
     }
-}
-
-unsigned
-Fabric::effLinkWidth(const FabricNodeDesc &n) const
-{
-    if (n.link.width > 0)
-        return n.link.width;
-    return n.kind == "switch" ? desc_.config.upstreamLinkWidth
-                              : desc_.config.downstreamLinkWidth;
-}
-
-PcieGen
-Fabric::effLinkGen(const FabricNodeDesc &n) const
-{
-    return n.link.gen > 0 ? static_cast<PcieGen>(n.link.gen)
-                          : desc_.config.gen;
-}
-
-double
-Fabric::effLinkBer(const FabricNodeDesc &n) const
-{
-    return n.link.bitErrorRate >= 0.0
-               ? n.link.bitErrorRate
-               : desc_.config.linkBitErrorRate;
 }
 
 void
@@ -665,21 +663,98 @@ Fabric::installIntxSink(PciDevice &dev, Tick intx_latency)
 }
 
 void
-Fabric::buildPcie()
+Fabric::buildHost()
 {
     const SystemConfig &config = desc_.config;
     trace::applyConfig(config.traceFlags, config.traceOut);
     Packet::resetIds();
 
+    membus_ = std::make_unique<XBar>(sim_, "system.membus",
+                                     config.membus);
+    dram_ = std::make_unique<SimpleMemory>(sim_, "system.dram",
+                                           config.dram);
+    pciHost_ = std::make_unique<PciHost>(sim_, "system.pciHost");
+    gic_ = std::make_unique<IntController>(sim_, "system.gic",
+                                           config.gic);
+
+    IOCacheParams ioc = config.ioCache;
+    if (ioc.ranges.empty())
+        ioc.ranges = {platform::dramRange};
+    ioCache_ = std::make_unique<IOCache>(sim_, "system.ioCache",
+                                         ioc);
+
+    KernelParams kp = config.kernel;
+    if (config.completionTimeout > 0)
+        kp.completionTimeout = config.completionTimeout;
+    kernel_ = std::make_unique<Kernel>(sim_, "system.kernel",
+                                       *pciHost_, *gic_, *dram_,
+                                       kp);
+
+    // MemBus: CPU and IOCache in, DRAM out; the style adds the
+    // master port toward its IO fabric.
+    kernel_->cpuPort().bind(membus_->addSlavePort("cpuSlave"));
+    ioCache_->masterPort().bind(membus_->addSlavePort("iocSlave"));
+    membus_->addMasterPort("dramMaster").bind(dram_->port());
+}
+
+void
+Fabric::buildDevice(Node &n)
+{
+    const SystemConfig &config = desc_.config;
+    const FabricNodeDesc &d = n.desc;
+    const std::string name = "system." + d.name;
+    Simulation::DomainScope scope(sim_, n.domain);
+    if (n.kind == Kind::IdeDisk) {
+        IdeDiskParams dkp = config.disk;
+        IdeDriverParams drvp = config.ideDriver;
+        if (config.completionTimeout > 0)
+            dkp.dmaCompletionTimeout = config.completionTimeout;
+        // The unplug script and AER recovery act through the
+        // disk's PCIe link, so only a linked disk takes them.
+        if (n.link != nullptr) {
+            if (config.unplugAtChunk > 0)
+                dkp.unplugAtChunk = config.unplugAtChunk;
+            dkp.replugDelay = config.replugDelay;
+            if (config.aerEnabled)
+                drvp.trackRecovery = true;
+        }
+        dkp.chunkSize = d.chunkSize.value_or(dkp.chunkSize);
+        dkp.mediaLatency = d.mediaLatency.value_or(dkp.mediaLatency);
+        disks_.push_back(std::make_unique<IdeDisk>(sim_, name, dkp));
+        n.dev = disks_.back().get();
+        ideDrivers_.push_back(std::make_unique<IdeDriver>(drvp));
+    } else if (n.kind == Kind::TrafficGen) {
+        TrafficGenParams tp = desc_.gen;
+        tp.interBurstGap = d.interBurstGap.value_or(tp.interBurstGap);
+        tp.postedWrites = d.postedWrites.value_or(tp.postedWrites);
+        gens_.push_back(std::make_unique<TrafficGen>(sim_, name, tp));
+        n.dev = gens_.back().get();
+    } else {
+        NicParams np = desc_.nic;
+        np.descProcessing =
+            d.descProcessing.value_or(np.descProcessing);
+        np.allowMsi = d.allowMsi.value_or(np.allowMsi);
+        nics_.push_back(
+            std::make_unique<Nic8254xPcie>(sim_, name, np));
+        n.dev = nics_.back().get();
+        nicDrivers_.push_back(
+            std::make_unique<E1000eDriver>(desc_.nicDriver));
+    }
+}
+
+void
+Fabric::buildPcie()
+{
+    const SystemConfig &config = desc_.config;
+
     // Parallel partitioning (DESIGN.md Sec. 10): cut the fabric at
     // its links when requested and safe. threads == 1 keeps the
     // degenerate one-worker partition whose keyed heap order is
     // shared with every thread count (1-vs-N byte identity).
-    bool link_faults = false;
-    for (const Node &n : nodes_) {
-        if (effLinkBer(n.desc) > 0.0)
-            link_faults = true;
-    }
+    const bool link_faults =
+        std::any_of(nodes_.begin(), nodes_.end(), [](const Node &n) {
+            return n.linkParams.faults.bitErrorRate > 0.0;
+        });
     const bool want_parallel = config.threads >= 1;
     const bool parallel = want_parallel && !nodes_.empty() &&
                           linksCuttable(config) && !link_faults &&
@@ -702,18 +777,9 @@ Fabric::buildPcie()
              "running single-queue");
     }
 
-    // Quantum: the minimum lookahead over every (per-link
-    // configured) link of the fabric.
-    Tick quantum = maxTick;
-    for (const Node &n : nodes_) {
-        Tick la = serializationTime(effLinkGen(n.desc),
-                                    effLinkWidth(n.desc),
-                                    overhead::dllpTotal) +
-                  config.linkPropagation;
-        quantum = std::min(quantum, la);
-    }
-    if (nodes_.empty())
-        quantum = 0;
+    Tick quantum = nodes_.empty() ? 0 : maxTick;
+    for (const Node &n : nodes_)
+        quantum = std::min(quantum, linkLookahead(n.linkParams));
     const Tick intx_latency =
         parallel ? std::max(config.intxLatency, quantum)
                  : config.intxLatency;
@@ -721,40 +787,21 @@ Fabric::buildPcie()
     // Domain assignment, in declaration order: one domain per
     // switch or endpoint; NICs sharing an Ethernet wire share one
     // domain (the wire models no latency, so they cannot be cut
-    // apart). Domain 0 is the host side.
+    // apart), named after the wire group. Domain 0 is the host
+    // side.
     partitioned_ = parallel;
-    std::map<std::string, unsigned> wire_domains;
+    std::vector<unsigned> wire_domains;
     for (Node &n : nodes_) {
-        if (!partitioned_) {
-            n.domain = 0;
-        } else if (n.desc.kind == "nic") {
-            auto it = wire_domains.find(n.desc.wire);
-            if (it == wire_domains.end()) {
-                // Shared wire domains are named after the wire
-                // group, not the first NIC that happened to open it.
-                n.domain = sim_.addDomain(n.desc.wire);
-                wire_domains.emplace(n.desc.wire, n.domain);
-            } else {
-                n.domain = it->second;
-            }
-        } else {
+        if (!partitioned_)
+            break;
+        if (n.kind != Kind::Nic) {
             n.domain = sim_.addDomain(n.desc.name);
+            continue;
         }
+        if (n.wirePort == 0)
+            wire_domains.push_back(sim_.addDomain(n.desc.wire));
+        n.domain = wire_domains[n.wireGroup];
     }
-
-    membus_ = std::make_unique<XBar>(sim_, "system.membus",
-                                     config.membus);
-    dram_ = std::make_unique<SimpleMemory>(sim_, "system.dram",
-                                           config.dram);
-    pciHost_ = std::make_unique<PciHost>(sim_, "system.pciHost");
-    gic_ = std::make_unique<IntController>(sim_, "system.gic",
-                                           config.gic);
-
-    IOCacheParams ioc = config.ioCache;
-    if (ioc.ranges.empty())
-        ioc.ranges = {platform::dramRange};
-    ioCache_ = std::make_unique<IOCache>(sim_, "system.ioCache",
-                                         ioc);
 
     RootComplexParams rcp;
     rcp.numRootPorts = std::max<unsigned>(
@@ -762,148 +809,63 @@ Fabric::buildPcie()
     rcp.latency = config.rcLatency;
     rcp.portBufferSize = config.portBufferSize;
     if (!rootChildren_.empty()) {
-        const Node &first = nodes_[rootChildren_[0]];
-        rcp.linkWidth = effLinkWidth(first.desc);
-        rcp.linkGen =
-            static_cast<unsigned>(effLinkGen(first.desc));
+        const PcieLinkParams &first =
+            nodes_[rootChildren_[0]].linkParams;
+        rcp.linkWidth = first.width;
+        rcp.linkGen = static_cast<unsigned>(first.gen);
     }
     rootComplex_ = std::make_unique<RootComplex>(sim_, "system.rc",
                                                  *pciHost_, rcp);
 
-    KernelParams kp = config.kernel;
-    if (config.completionTimeout > 0)
-        kp.completionTimeout = config.completionTimeout;
-    kernel_ = std::make_unique<Kernel>(sim_, "system.kernel",
-                                       *pciHost_, *gic_, *dram_,
-                                       kp);
-
     // Ethernet wires, one per group, in first-use order, living in
     // the group's device domain.
-    std::map<std::string, unsigned> wire_index;
     for (const Node &n : nodes_) {
-        if (n.desc.kind != "nic" || wire_index.count(n.desc.wire))
+        if (n.kind != Kind::Nic || n.wirePort != 0)
             continue;
         Simulation::DomainScope scope(sim_, n.domain);
         wires_.push_back(std::make_unique<EtherWire>(
             sim_, "system." + n.desc.wire, desc_.wire));
-        wire_index.emplace(
-            n.desc.wire,
-            static_cast<unsigned>(wires_.size() - 1));
     }
 
-    // MemBus: CPU and IOCache in, DRAM and root complex out; the
-    // MSI path exists only on fabrics with NICs (keeps NIC-less
-    // stats dumps byte-identical to the legacy classes).
-    kernel_->cpuPort().bind(membus_->addSlavePort("cpuSlave"));
-    ioCache_->masterPort().bind(membus_->addSlavePort("iocSlave"));
-    membus_->addMasterPort("dramMaster").bind(dram_->port());
+    // MemBus out to the root complex; the MSI path exists only on
+    // fabrics with NICs (keeps NIC-less stats dumps unchanged).
     membus_->addMasterPort("rcMaster")
         .bind(rootComplex_->upstreamSlavePort());
-    if (!nicIdx_.empty())
+    if (!wires_.empty())
         membus_->addMasterPort("msiMaster").bind(gic_->msiPort());
     rootComplex_->upstreamMasterPort().bind(ioCache_->slavePort());
 
     // The tree, in declaration order: each node's upstream link,
-    // then the object itself inside its domain, its driver, the
-    // port bindings, and the INTx wire.
-    std::map<std::string, unsigned> wire_ports;
-    for (unsigned i = 0; i < nodes_.size(); ++i) {
-        Node &n = nodes_[i];
-        std::string link_name = n.desc.link.name.empty()
-                                    ? n.desc.name + "Link"
-                                    : n.desc.link.name;
-        PcieLinkParams lp =
-            config.makeLinkParams(effLinkWidth(n.desc), i);
-        lp.gen = effLinkGen(n.desc);
-        lp.faults.bitErrorRate = effLinkBer(n.desc);
-        if (n.desc.link.replayBufferSize > 0)
-            lp.replayBufferSize = n.desc.link.replayBufferSize;
+    // then the object itself inside its domain (with its driver),
+    // and the port bindings.
+    for (Node &n : nodes_) {
         links_.push_back(std::make_unique<PcieLink>(
-            sim_, "system." + link_name, lp));
+            sim_, "system." + n.desc.link.name, n.linkParams));
         n.link = links_.back().get();
 
-        {
+        if (n.kind == Kind::Switch) {
             Simulation::DomainScope scope(sim_, n.domain);
-            if (n.desc.kind == "switch") {
-                PcieSwitchParams swp;
-                swp.numDownstreamPorts = n.ports;
-                swp.latency = n.desc.latency
-                                  ? n.desc.latency
-                                  : config.switchLatency;
-                swp.portBufferSize = n.desc.portBufferSize
-                                         ? n.desc.portBufferSize
-                                         : config.portBufferSize;
-                swp.linkWidth = config.downstreamLinkWidth;
-                swp.linkGen = static_cast<unsigned>(config.gen);
-                for (unsigned j = i + 1; j < nodes_.size(); ++j) {
-                    if (nodes_[j].parentIndex ==
-                        static_cast<int>(i)) {
-                        swp.linkWidth = effLinkWidth(nodes_[j].desc);
-                        swp.linkGen = static_cast<unsigned>(
-                            effLinkGen(nodes_[j].desc));
-                        break;
-                    }
-                }
-                swp.enableContainment = config.aerEnabled;
-                switches_.push_back(std::make_unique<PcieSwitch>(
-                    sim_, "system." + n.desc.name, swp));
-                n.sw = switches_.back().get();
-            } else if (n.desc.kind == "ide_disk") {
-                IdeDiskParams dkp = config.disk;
-                if (config.completionTimeout > 0)
-                    dkp.dmaCompletionTimeout =
-                        config.completionTimeout;
-                if (config.unplugAtChunk > 0)
-                    dkp.unplugAtChunk = config.unplugAtChunk;
-                dkp.replugDelay = config.replugDelay;
-                if (n.desc.chunkSize >= 0) {
-                    dkp.chunkSize =
-                        static_cast<unsigned>(n.desc.chunkSize);
-                }
-                if (n.desc.mediaLatencyNs >= 0) {
-                    dkp.mediaLatency = static_cast<Tick>(
-                        n.desc.mediaLatencyNs *
-                        static_cast<double>(tickPerNs));
-                }
-                disks_.push_back(std::make_unique<IdeDisk>(
-                    sim_, "system." + n.desc.name, dkp));
-                n.dev = disks_.back().get();
-            } else if (n.desc.kind == "traffic_gen") {
-                TrafficGenParams tp = desc_.gen;
-                if (n.desc.interBurstGapNs >= 0) {
-                    tp.interBurstGap = static_cast<Tick>(
-                        n.desc.interBurstGapNs *
-                        static_cast<double>(tickPerNs));
-                }
-                if (n.desc.postedWrites >= 0)
-                    tp.postedWrites = n.desc.postedWrites == 1;
-                gens_.push_back(std::make_unique<TrafficGen>(
-                    sim_, "system." + n.desc.name, tp));
-                n.dev = gens_.back().get();
-            } else {
-                NicParams np = desc_.nic;
-                if (n.desc.descProcessingNs >= 0) {
-                    np.descProcessing = static_cast<Tick>(
-                        n.desc.descProcessingNs *
-                        static_cast<double>(tickPerNs));
-                }
-                if (n.desc.allowMsi >= 0)
-                    np.allowMsi = n.desc.allowMsi == 1;
-                nics_.push_back(std::make_unique<Nic8254xPcie>(
-                    sim_, "system." + n.desc.name, np));
-                n.dev = nics_.back().get();
+            PcieSwitchParams swp;
+            swp.numDownstreamPorts = n.ports;
+            swp.latency = n.desc.latency ? n.desc.latency
+                                         : config.switchLatency;
+            swp.portBufferSize = n.desc.portBufferSize
+                                     ? n.desc.portBufferSize
+                                     : config.portBufferSize;
+            swp.linkWidth = config.downstreamLinkWidth;
+            swp.linkGen = static_cast<unsigned>(config.gen);
+            if (n.firstChild >= 0) {
+                const PcieLinkParams &down =
+                    nodes_[n.firstChild].linkParams;
+                swp.linkWidth = down.width;
+                swp.linkGen = static_cast<unsigned>(down.gen);
             }
-        }
-
-        if (n.desc.kind == "ide_disk") {
-            IdeDriverParams drvp = config.ideDriver;
-            if (config.aerEnabled)
-                drvp.trackRecovery = true;
-            ideDrivers_.push_back(
-                std::make_unique<IdeDriver>(drvp));
-        } else if (n.desc.kind == "nic") {
-            nicDrivers_.push_back(
-                std::make_unique<E1000eDriver>(desc_.nicDriver));
+            swp.enableContainment = config.aerEnabled;
+            switches_.push_back(std::make_unique<PcieSwitch>(
+                sim_, "system." + n.desc.name, swp));
+            n.sw = switches_.back().get();
+        } else {
+            buildDevice(n);
         }
 
         // Parent port <-> link <-> node.
@@ -926,16 +888,11 @@ Fabric::buildPcie()
             n.link->downMaster().bind(n.dev->pioPort());
             n.dev->dmaPort().bind(n.link->downSlave());
         }
-        if (n.desc.kind == "nic") {
-            nics_.back()->attachWire(
-                *wires_[wire_index[n.desc.wire]],
-                wire_ports[n.desc.wire]++);
-        }
-        if (desc_.enumerate && n.dev != nullptr)
-            installIntxSink(*n.dev, intx_latency);
+        if (n.kind == Kind::Nic)
+            nics_.back()->attachWire(*wires_[n.wireGroup], n.wirePort);
     }
 
-    registerTree();
+    registerTree(intx_latency);
 
     // Hand each link interface to its domain's queue and attach
     // the quantum-synchronized engine.
@@ -955,7 +912,7 @@ Fabric::buildPcie()
 }
 
 void
-Fabric::registerTree()
+Fabric::registerTree(Tick intx_latency)
 {
     if (!desc_.enumerate)
         return;
@@ -971,6 +928,7 @@ Fabric::registerTree()
             }
         } else {
             pciHost_->registerFunction(*n.dev, n.bdf);
+            installIntxSink(*n.dev, intx_latency);
         }
     }
     for (auto &drv : ideDrivers_)
@@ -1128,8 +1086,6 @@ void
 Fabric::buildLegacyIo()
 {
     const SystemConfig &config = desc_.config;
-    trace::applyConfig(config.traceFlags, config.traceOut);
-    Packet::resetIds();
 
     // The flat baseline has no point-to-point links, so there is
     // no lookahead to cut domains on; parallel mode degenerates to
@@ -1139,56 +1095,16 @@ Fabric::buildLegacyIo()
              "running single-queue");
     }
 
-    Node &n = nodes_[0];
-
-    membus_ = std::make_unique<XBar>(sim_, "system.membus",
-                                     config.membus);
     iobus_ = std::make_unique<XBar>(sim_, "system.iobus",
                                     config.membus);
-    dram_ = std::make_unique<SimpleMemory>(sim_, "system.dram",
-                                           config.dram);
-    pciHost_ = std::make_unique<PciHost>(sim_, "system.pciHost");
-    gic_ = std::make_unique<IntController>(sim_, "system.gic",
-                                           config.gic);
-
     // The MemBus -> IOBus bridge claims the whole off-chip range.
     BridgeParams bp;
     bp.delay = nanoseconds(50);
     bp.ranges = {platform::offChipRange};
     bridge_ = std::make_unique<Bridge>(sim_, "system.bridge", bp);
+    Node &n = nodes_[0];
+    buildDevice(n);
 
-    IOCacheParams ioc = config.ioCache;
-    if (ioc.ranges.empty())
-        ioc.ranges = {platform::dramRange};
-    ioCache_ = std::make_unique<IOCache>(sim_, "system.ioCache",
-                                         ioc);
-
-    IdeDiskParams dkp = config.disk;
-    if (config.completionTimeout > 0)
-        dkp.dmaCompletionTimeout = config.completionTimeout;
-    if (n.desc.chunkSize >= 0)
-        dkp.chunkSize = static_cast<unsigned>(n.desc.chunkSize);
-    if (n.desc.mediaLatencyNs >= 0) {
-        dkp.mediaLatency = static_cast<Tick>(
-            n.desc.mediaLatencyNs * static_cast<double>(tickPerNs));
-    }
-    disks_.push_back(std::make_unique<IdeDisk>(
-        sim_, "system." + n.desc.name, dkp));
-    n.dev = disks_.back().get();
-
-    KernelParams kp = config.kernel;
-    if (config.completionTimeout > 0)
-        kp.completionTimeout = config.completionTimeout;
-    kernel_ = std::make_unique<Kernel>(sim_, "system.kernel",
-                                       *pciHost_, *gic_, *dram_,
-                                       kp);
-    ideDrivers_.push_back(
-        std::make_unique<IdeDriver>(config.ideDriver));
-
-    // MemBus wiring.
-    kernel_->cpuPort().bind(membus_->addSlavePort("cpuSlave"));
-    ioCache_->masterPort().bind(membus_->addSlavePort("iocSlave"));
-    membus_->addMasterPort("dramMaster").bind(dram_->port());
     membus_->addMasterPort("bridgeMaster")
         .bind(bridge_->slavePort());
 
@@ -1198,11 +1114,8 @@ Fabric::buildLegacyIo()
     iobus_->addMasterPort("diskPio").bind(n.dev->pioPort());
     iobus_->addMasterPort("iocMaster").bind(ioCache_->slavePort());
 
-    installIntxSink(*n.dev, config.intxLatency);
-
     // Flat topology: the disk is the only device on bus 0.
-    pciHost_->registerFunction(*n.dev, n.bdf);
-    kernel_->registerDriver(*ideDrivers_[0]);
+    registerTree(config.intxLatency);
 }
 
 void
@@ -1325,43 +1238,35 @@ Fabric::buildObservability()
     // classes, which never registered these formulas.
     if (!desc_.systemStats || links_.empty())
         return;
-    const bool two = links_.size() == 2;
-    replayFraction_ = [this] {
-        std::uint64_t tx = 0;
-        std::uint64_t replays = 0;
-        for (auto &l : links_) {
-            tx += l->downstreamIf().txTlps();
-            replays += l->downstreamIf().replayedTlps();
-        }
-        return tx == 0 ? 0.0
-                       : static_cast<double>(replays) /
-                             static_cast<double>(tx);
+    // Share of the device-side interfaces' transmitted TLPs that
+    // @p count counts.
+    auto per_tx = [this](std::uint64_t (LinkInterface::*count)()
+                             const) {
+        return [this, count] {
+            std::uint64_t tx = 0;
+            std::uint64_t n = 0;
+            for (auto &l : links_) {
+                tx += l->downstreamIf().txTlps();
+                n += (l->downstreamIf().*count)();
+            }
+            return tx == 0 ? 0.0
+                           : static_cast<double>(n) /
+                                 static_cast<double>(tx);
+        };
     };
-    sim_.statsRegistry().add(
-        "system.replayFraction", &replayFraction_,
-        two ? "replayed / transmitted TLPs, device-side interfaces "
-              "of both links"
-            : "replayed / transmitted TLPs, device-side interfaces "
-              "of all links",
-        stats::Unit::Ratio);
-    timeoutFraction_ = [this] {
-        std::uint64_t tx = 0;
-        std::uint64_t timeouts = 0;
-        for (auto &l : links_) {
-            tx += l->downstreamIf().txTlps();
-            timeouts += l->downstreamIf().timeouts();
-        }
-        return tx == 0 ? 0.0
-                       : static_cast<double>(timeouts) /
-                             static_cast<double>(tx);
-    };
-    sim_.statsRegistry().add(
-        "system.timeoutFraction", &timeoutFraction_,
-        two ? "replay-timer timeouts / transmitted TLPs, "
-              "device-side interfaces of both links"
-            : "replay-timer timeouts / transmitted TLPs, "
-              "device-side interfaces of all links",
-        stats::Unit::Ratio);
+    const std::string ifs = links_.size() == 2
+                                ? "device-side interfaces of both links"
+                                : "device-side interfaces of all links";
+    replayFraction_ = per_tx(&LinkInterface::replayedTlps);
+    sim_.statsRegistry().add("system.replayFraction", &replayFraction_,
+                             "replayed / transmitted TLPs, " + ifs,
+                             stats::Unit::Ratio);
+    timeoutFraction_ = per_tx(&LinkInterface::timeouts);
+    sim_.statsRegistry().add("system.timeoutFraction",
+                             &timeoutFraction_,
+                             "replay-timer timeouts / transmitted "
+                             "TLPs, " + ifs,
+                             stats::Unit::Ratio);
 }
 
 void
@@ -1371,10 +1276,18 @@ Fabric::auditConfig()
     const SystemConfig def;
     const bool legacy_io = desc_.style == "legacy-io";
     const bool have_links = !links_.empty();
-    const bool have_disk = !disks_.empty();
+    // The unplug script needs a disk behind a PCIe link.
+    const bool have_linked_disk = have_links && !disks_.empty();
     bool have_endpoint = false;
-    for (const Node &n : nodes_)
-        have_endpoint = have_endpoint || n.dev != nullptr;
+    bool used_up_width = false;
+    bool used_down_width = false;
+    bool used_switch_ports = false;
+    for (const Node &n : nodes_) {
+        const bool sw = n.kind == Kind::Switch;
+        have_endpoint |= !sw;
+        (sw ? used_up_width : used_down_width) |= n.desc.link.width == 0;
+        used_switch_ports |= sw && n.desc.ports == 0;
+    }
 
     // One entry per knob that some topology shapes ignore: a knob
     // explicitly set away from its default but never consumed by
@@ -1390,10 +1303,10 @@ Fabric::auditConfig()
         {"gen", c.gen != def.gen, have_links},
         {"upstream_link_width",
          c.upstreamLinkWidth != def.upstreamLinkWidth,
-         usedUpstreamWidth_},
+         have_links && used_up_width},
         {"downstream_link_width",
          c.downstreamLinkWidth != def.downstreamLinkWidth,
-         usedDownstreamWidth_},
+         have_links && used_down_width},
         {"rc_latency_ns", c.rcLatency != def.rcLatency, !legacy_io},
         {"switch_latency_ns", c.switchLatency != def.switchLatency,
          !switchIdx_.empty()},
@@ -1410,7 +1323,7 @@ Fabric::auditConfig()
          have_links},
         {"switch_downstream_ports",
          c.switchDownstreamPorts != def.switchDownstreamPorts,
-         usedSwitchPorts_},
+         used_switch_ports},
         {"link_bit_error_rate",
          c.linkBitErrorRate != def.linkBitErrorRate, have_links},
         {"fault_seed", c.faultSeed != def.faultSeed, have_links},
@@ -1421,9 +1334,9 @@ Fabric::auditConfig()
         {"degrade_threshold",
          c.degradeThreshold != def.degradeThreshold, have_links},
         {"unplug_at_chunk", c.unplugAtChunk != def.unplugAtChunk,
-         have_disk},
+         have_linked_disk},
         {"replug_delay_ns", c.replugDelay != def.replugDelay,
-         have_disk},
+         have_linked_disk},
         {"intx_latency_ns", c.intxLatency != def.intxLatency,
          desc_.enumerate && have_endpoint},
     };

@@ -23,6 +23,7 @@
 #define PCIESIM_TOPO_FABRIC_BUILDER_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,19 +83,19 @@ struct FabricNodeDesc
     /** nic: Ethernet wire group; NICs sharing a group share one
      *  wire (at most two) and one event-queue domain. */
     std::string wire = "wire";
-    /** @{ Per-device knob overrides (negative: inherit). */
-    /** ide_disk: DMA chunk size in bytes. */
-    long chunkSize = -1;
-    /** ide_disk: media access latency in nanoseconds. */
-    double mediaLatencyNs = -1.0;
-    /** traffic_gen: gap between bursts in nanoseconds. */
-    double interBurstGapNs = -1.0;
-    /** traffic_gen: posted (response-less) DMA writes (0/1). */
-    int postedWrites = -1;
-    /** nic: per-descriptor processing time in nanoseconds. */
-    double descProcessingNs = -1.0;
-    /** nic: writable MSI enable (0/1). */
-    int allowMsi = -1;
+    /** @{ Per-device knob overrides (unset: inherit). */
+    /** ide_disk: DMA chunk size in bytes (at least 1). */
+    std::optional<unsigned> chunkSize;
+    /** ide_disk: media access latency. */
+    std::optional<Tick> mediaLatency;
+    /** traffic_gen: gap between bursts. */
+    std::optional<Tick> interBurstGap;
+    /** traffic_gen: posted (response-less) DMA writes. */
+    std::optional<bool> postedWrites;
+    /** nic: per-descriptor processing time. */
+    std::optional<Tick> descProcessing;
+    /** nic: writable MSI enable. */
+    std::optional<bool> allowMsi;
     /** @} */
     /** Source line for error context (0: built from C++). */
     unsigned sourceLine = 0;
@@ -247,35 +248,45 @@ class Fabric
     /** @} */
 
   private:
-    /** Constructed state of one description node. */
+    /** The node kinds a description may name. */
+    enum class Kind { Switch, IdeDisk, TrafficGen, Nic };
+
+    /** One description node: resolved by validate(), then
+     *  constructed by the style's build pass. */
     struct Node
     {
-        FabricNodeDesc desc;
+        FabricNodeDesc desc;     //!< link.name defaulted
+        Kind kind = Kind::Switch;
         int parentIndex = -1;    //!< -1: attached to the rc
+        int firstChild = -1;     //!< switch: first child node
+        unsigned children = 0;   //!< switch: children attached
         unsigned portOnParent = 0;
         unsigned depth = 1;      //!< 1 = below a root port
+        unsigned ports = 0;      //!< switch: resolved port count
+        unsigned wireGroup = 0;  //!< nic: index, first-use order
+        unsigned wirePort = 0;   //!< nic: port on that wire
+        /** The upstream link, every default applied. */
+        PcieLinkParams linkParams;
+        Bdf bdf{0, 0, 0};        //!< endpoint / switch upstream
+        unsigned internalBus = 0; //!< switch: downstream VP2P bus
         unsigned domain = 0;
         PcieLink *link = nullptr;
         PcieSwitch *sw = nullptr;
         PciDevice *dev = nullptr;
-        unsigned ports = 0;      //!< switch: resolved port count
-        Bdf bdf{0, 0, 0};        //!< endpoint / switch upstream
-        unsigned internalBus = 0; //!< switch: downstream VP2P bus
     };
 
     [[noreturn]] void failNode(const FabricNodeDesc &n,
                                const std::string &what);
     void validate();
+    void buildHost();
     void buildPcie();
     void buildLegacyIo();
+    void buildDevice(Node &n);
     void buildObservability();
     void wireAer();
-    void registerTree();
+    void registerTree(Tick intx_latency);
     void auditConfig();
     void installIntxSink(PciDevice &dev, Tick intx_latency);
-    unsigned effLinkWidth(const FabricNodeDesc &n) const;
-    PcieGen effLinkGen(const FabricNodeDesc &n) const;
-    double effLinkBer(const FabricNodeDesc &n) const;
     /** Deepest switch owning a downstream port routing @p bus. */
     PcieSwitch *containingSwitch(unsigned bus, int &port);
 
@@ -286,15 +297,8 @@ class Fabric
     std::vector<int> rootChildren_;  //!< node index per root port
     std::vector<unsigned> switchIdx_; //!< node idx of switch i
     std::vector<unsigned> diskIdx_;
-    std::vector<unsigned> genIdx_;
-    std::vector<unsigned> nicIdx_;
     bool partitioned_ = false;
     bool booted_ = false;
-    /** @{ Knob-audit state (see auditConfig). */
-    bool usedUpstreamWidth_ = false;
-    bool usedDownstreamWidth_ = false;
-    bool usedSwitchPorts_ = false;
-    /** @} */
 
     std::unique_ptr<XBar> membus_;
     std::unique_ptr<XBar> iobus_;    //!< legacy-io only

@@ -185,19 +185,19 @@ struct SystemConfig
 };
 
 /**
- * Conservative lookahead of one link of @p width lanes under
- * configuration @p c: the smallest possible flight time of anything
- * the wire carries. The shortest transfer is a DLLP (8 symbols), so
- * no event can cross the link in less than its serialization time
- * plus the propagation delay. The synchronization quantum of a
- * partitioned topology is the minimum lookahead over its
- * domain-crossing links.
+ * Conservative lookahead of a link with parameters @p lp: the
+ * smallest possible flight time of anything the wire carries. The
+ * shortest transfer is a DLLP (8 symbols), so no event can cross
+ * the link in less than its serialization time at the link's own
+ * gen and width plus the propagation delay. The synchronization
+ * quantum of a partitioned topology is the minimum lookahead over
+ * its links.
  */
 inline Tick
-linkLookahead(const SystemConfig &c, unsigned width)
+linkLookahead(const PcieLinkParams &lp)
 {
-    return serializationTime(c.gen, width, overhead::dllpTotal) +
-           c.linkPropagation;
+    return serializationTime(lp.gen, lp.width, overhead::dllpTotal) +
+           lp.propagationDelay;
 }
 
 /**

@@ -77,6 +77,10 @@ TEST(FabricConfigAudit, LegacyIoIgnoresPcieKnobs)
     desc.style = "legacy-io";
     desc.config.rcLatency = nanoseconds(500);
     desc.config.aerEnabled = true;
+    desc.config.downstreamLinkWidth = 4;
+    // The unplug script acts through the disk's PCIe link.
+    desc.config.unplugAtChunk = 3;
+    desc.config.replugDelay = microseconds(10);
     FabricNodeDesc disk;
     disk.name = "disk";
     disk.kind = "ide_disk";
@@ -86,9 +90,13 @@ TEST(FabricConfigAudit, LegacyIoIgnoresPcieKnobs)
     EXPECT_NE(err.find("config knob 'rc_latency_ns' is set but "
                        "unused by this topology"),
               std::string::npos) << err;
-    EXPECT_NE(err.find("config knob 'aer_enabled' is set but "
-                       "unused by this topology"),
-              std::string::npos) << err;
+    for (const char *knob :
+         {"aer_enabled", "downstream_link_width", "unplug_at_chunk",
+          "replug_delay_ns"}) {
+        EXPECT_NE(err.find("config knob '" + std::string(knob) +
+                           "' is set but unused by this topology"),
+                  std::string::npos) << knob << ": " << err;
+    }
 }
 
 } // namespace

@@ -196,7 +196,8 @@ TEST(TopologyFuzz, MutantsBuildOrCiteFileAndLine)
 /**
  * Inputs the mutants cannot reach, pinned by hand. Each once
  * crashed, hit an undefined float-to-integer cast, wrapped silently
- * to a small value, or died citing no line.
+ * to a small value, silently inherited a default, built and then
+ * panicked at run time, or died citing no line.
  */
 TEST(TopologyFuzz, PinnedInputsCiteFileAndLine)
 {
@@ -226,6 +227,36 @@ TEST(TopologyFuzz, PinnedInputsCiteFileAndLine)
          " { \"name\": \"m\", \"kind\": \"switch\", \"count\": 16,"
          " \"ports\": 16, \"parent\": \"t\" } ] }",
          "m.json:3: the tree needs more than 255 buses"},
+        {"{ \"nodes\": [\n"
+         " { \"name\": \"d\", \"kind\": \"ide_disk\",\n"
+         "   \"chunk_size\": 0 } ] }",
+         "m.json:3: key 'chunk_size' must be >= 1"},
+        {"{ \"nodes\": [\n"
+         " { \"name\": \"d\", \"kind\": \"ide_disk\",\n"
+         "   \"media_latency_ns\": -5 } ] }",
+         "m.json:3: key 'media_latency_ns' must be >= 0"},
+        {"{ \"nodes\": [\n"
+         " { \"name\": \"d\", \"kind\": \"ide_disk\",\n"
+         "   \"media_latency_ns\": 1e300 } ] }",
+         "m.json:3: key 'media_latency_ns' is out of range"},
+        {"{ \"nodes\": [\n"
+         " { \"name\": \"g\", \"kind\": \"traffic_gen\",\n"
+         "   \"inter_burst_gap_ns\": -1 } ] }",
+         "m.json:3: key 'inter_burst_gap_ns' must be >= 0"},
+        {"{ \"nodes\": [\n"
+         " { \"name\": \"n\", \"kind\": \"nic\",\n"
+         "   \"desc_processing_ns\": 1e300 } ] }",
+         "m.json:3: key 'desc_processing_ns' is out of range"},
+        {"{ \"config\": {\n \"replay_buffer_size\": 0 } }",
+         "m.json:2: key 'replay_buffer_size' must be >= 1"},
+        {"{ \"nodes\": [\n"
+         " { \"name\": \"g\", \"kind\": \"traffic_gen\",\n"
+         "   \"link\": { \"replay_buffer_size\": 0 } } ] }",
+         "m.json:3: key 'replay_buffer_size' must be >= 1"},
+        {"{ \"nodes\": [\n"
+         " { \"name\": \"g\", \"kind\": \"traffic_gen\",\n"
+         "   \"link\": { \"width\": 0 } } ] }",
+         "m.json:3: key 'width' must be >= 1"},
     };
     for (const auto &[text, want] : cases) {
         std::string msg = buildOrFatal(text, text);

@@ -20,8 +20,10 @@
 #      domains, so windows keep fanning out after the first and
 #      real links hand packets between locked and unlocked
 #      windows), the parallel engine unit tests (16 domains on 8
-#      workers included) and the parallel telemetry unit tests
-#      under ThreadSanitizer (the engine's data-race gate)
+#      workers included), the parallel telemetry unit tests and
+#      the t0/t1/t4 determinism gate (its t4 legs send keyed
+#      deliveries over every cut wire at once) under
+#      ThreadSanitizer (the engine's data-race gate)
 #   9. profiler overhead gate: the default build (profiler compiled
 #      in, disabled; parallel flight recorder live) within 5% of
 #      the notrace build (hook and recorder removed) — bench_fig9a
@@ -89,13 +91,14 @@ echo "== [8/9] tsan bench smokes + parallel engine tests =="
 cmake --preset tsan >/dev/null
 cmake --build build-tsan -j "$jobs" --target bench_kernel \
     bench_fig9a bench_fabric parallel_engine_test \
-    parallel_telemetry_test
+    parallel_telemetry_test parallel_determinism_test
 ./build-tsan/bench/bench_kernel --smoke --json >/dev/null
 ./build-tsan/bench/bench_fig9a --smoke --threads 4 >/dev/null
 ./build-tsan/bench/bench_fabric --smoke \
     --topology=examples/topologies/tree3.json --threads 2 >/dev/null
 ./build-tsan/tests/parallel_engine_test
 ./build-tsan/tests/parallel_telemetry_test
+./build-tsan/tests/parallel_determinism_test
 
 echo "== [9/9] profiler overhead gate (vs notrace) =="
 cmake --preset notrace >/dev/null

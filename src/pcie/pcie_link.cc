@@ -65,18 +65,13 @@ UnidirectionalLink::send(const PciePkt &pkt)
     TRACE_COMPLETE(Flag::Link, now, wire, name_, pktLabel(wire_pkt),
                    wire_pkt.corrupted() ? " (corrupted)" : "");
 
-    // On a cut wire the delivery key is fixed now, on the sending
-    // domain, and travels with the packet: both arming paths (the
-    // mailboxed schedule-if-earlier below and the sink's rearm in
-    // deliver()) must use the same key or the heap order would
-    // depend on which path the wall clock ran first.
-    const bool keyed = cross_ && par::engineActive;
-    Tick key_order = 0;
-    std::uint64_t key_tie = 0;
-    if (keyed) {
-        key_order = srcQueue_->curTick();
-        key_tie = srcQueue_->nextTie();
-    }
+    // The delivery key is fixed now, by the send, and travels with
+    // the packet: the delivery event is armed for this arrival
+    // either below or by the sink's rearm in deliver(), and both
+    // must use the same key. On a cut wire which of the two runs
+    // first is a wall-clock race.
+    const Tick key_order = srcQueue_->curTick();
+    const std::uint64_t key_tie = srcQueue_->nextTie();
     {
         std::unique_lock<std::mutex> lock(inFlightMu_,
                                           std::defer_lock);
@@ -84,17 +79,18 @@ UnidirectionalLink::send(const PciePkt &pkt)
             lock.lock();
         inFlight_.push_back({arrive, key_order, key_tie, wire_pkt});
     }
-    if (keyed) {
-        // Mid-window cross-domain arrival: the sender must not read
-        // the delivery event's state (the sink domain owns it), so
-        // post a keyed schedule-if-earlier through the mailbox —
-        // idempotent under monotone per-wire arrival times.
+    // Schedule-if-earlier is idempotent under monotone per-wire
+    // arrival times. Mid-window, a cut wire's sender must not touch
+    // the delivery event (the sink domain owns it), so it posts
+    // through the mailbox.
+    if (cross_ && par::engineActive) {
         par::activeEngine->postScheduleEarliest(*sinkQueue_,
                                                 deliverEvent_,
                                                 arrive, key_order,
                                                 key_tie);
-    } else if (!deliverEvent_.scheduled()) {
-        sinkQueue_->schedule(&deliverEvent_, arrive);
+    } else {
+        sinkQueue_->scheduleEarliestKeyed(&deliverEvent_, arrive,
+                                          key_order, key_tie);
     }
 }
 
@@ -128,14 +124,10 @@ UnidirectionalLink::deliver()
             // the same packet carries the same key and degrades to
             // a no-op.
             const InFlight &next = inFlight_.front();
-            if (cross_ && par::engineActive) {
-                sinkQueue_->scheduleEarliestKeyed(&deliverEvent_,
-                                                  next.arrive,
-                                                  next.keyOrder,
-                                                  next.keyTie);
-            } else {
-                sinkQueue_->schedule(&deliverEvent_, next.arrive);
-            }
+            sinkQueue_->scheduleEarliestKeyed(&deliverEvent_,
+                                              next.arrive,
+                                              next.keyOrder,
+                                              next.keyTie);
         }
         return front;
     }();

@@ -209,13 +209,13 @@ class UnidirectionalLink
     Tick busyUntil_ = 0;
     Tick busyTicks_ = 0;
 
-    /** One packet on the wire. On a cut wire the delivery event can
-     *  be armed for this arrival either by the sender's mailboxed
-     *  schedule-if-earlier or by the sink rearming after the
-     *  previous delivery — whichever the wall clock happens to order
-     *  first — so the arming key is fixed at send time and carried
-     *  here, keeping the heap order a pure function of simulated
-     *  history. */
+    /** One packet on the wire. The delivery event can be armed for
+     *  this arrival either by the send's schedule-if-earlier
+     *  (mailboxed on a cut wire) or by the sink rearming after the
+     *  previous delivery — on a cut wire, whichever the wall clock
+     *  happens to order first — so the arming key is fixed at send
+     *  time and carried here, keeping the heap order a pure
+     *  function of simulated history. */
     struct InFlight
     {
         Tick arrive;

@@ -42,8 +42,9 @@ const char *internEventName(const std::string &name);
 /**
  * An occurrence scheduled to happen at a particular tick.
  *
- * Events scheduled for the same tick fire in scheduling order
- * (FIFO), which keeps simulations deterministic.
+ * Events due at the same tick fire in a deterministic order that
+ * depends only on simulated history: FIFO among the schedules of
+ * one firing event, or of the code outside any event (EventQueue).
  */
 class Event
 {

@@ -79,6 +79,8 @@ EventQueue::siftAny(std::size_t i)
 void
 EventQueue::removeAt(std::size_t i)
 {
+    PCIESIM_AUDIT_ONLY(
+        liveKeys_.erase({heap_[i].when, heap_[i].order, heap_[i].tie});)
     heap_[i].event->heapIndex_ = Event::invalidHeapIndex;
     Slot last = heap_.back();
     heap_.pop_back();
@@ -88,6 +90,19 @@ EventQueue::removeAt(std::size_t i)
         siftAny(i);
     }
 }
+
+#ifdef PCIESIM_ENABLE_AUDIT
+void
+EventQueue::auditKeyAdded(const Slot &s)
+{
+    auto [it, fresh] = liveKeys_.emplace(
+        std::make_tuple(s.when, s.order, s.tie), s.event);
+    PCIESIM_AUDIT(fresh, "events '", it->second->name(), "' and '",
+                  s.event->name(), "' share the key (", s.when, ", ",
+                  s.order, ", ", s.tie,
+                  "); their order would depend on insertion order");
+}
+#endif
 
 void
 EventQueue::auditHeap() const
@@ -120,21 +135,7 @@ EventQueue::auditHeap() const
 void
 EventQueue::schedule(Event *event, Tick when)
 {
-    panicIf(event == nullptr, "scheduling null event");
-    panicIf(event->scheduled(),
-            "event '", event->name(), "' scheduled twice");
-    panicIf(when < curTick_,
-            "event '", event->name(), "' scheduled in the past (",
-            when, " < ", curTick_, ")");
-
-    event->when_ = when;
-    event->heapIndex_ = heap_.size();
-    if (parallelKeys_)
-        heap_.push_back({when, curTick_, nextTie(), event});
-    else
-        heap_.push_back({when, nextOrder_++, 0, event});
-    siftUp(event->heapIndex_);
-    maybeAuditHeap();
+    scheduleKeyed(event, when, curTick_, nextTie());
 }
 
 void
@@ -151,6 +152,7 @@ EventQueue::scheduleKeyed(Event *event, Tick when, Tick key_order,
     event->when_ = when;
     event->heapIndex_ = heap_.size();
     heap_.push_back({when, key_order, key_tie, event});
+    PCIESIM_AUDIT_ONLY(auditKeyAdded(heap_.back());)
     siftUp(event->heapIndex_);
     maybeAuditHeap();
 }
@@ -172,12 +174,7 @@ EventQueue::scheduleEarliestKeyed(Event *event, Tick when,
     panicIf(heap_[event->heapIndex_].event != event,
             "event '", event->name(), "' heap slot out of sync");
 
-    event->when_ = when;
-    Slot &s = heap_[event->heapIndex_];
-    s.when = when;
-    s.order = key_order;
-    s.tie = key_tie;
-    siftAny(event->heapIndex_);
+    setKey(event, when, key_order, key_tie);
     maybeAuditHeap();
 }
 
@@ -207,18 +204,22 @@ EventQueue::reschedule(Event *event, Tick when)
     panicIf(heap_[event->heapIndex_].event != event,
             "event '", event->name(), "' heap slot out of sync");
 
-    // One in-place sift; a fresh order keeps deschedule+schedule's
-    // FIFO position among same-tick events.
-    event->when_ = when;
+    // One in-place sift; a fresh key keeps deschedule+schedule's
+    // position among same-tick events.
+    setKey(event, when, curTick_, nextTie());
+}
+
+void
+EventQueue::setKey(Event *event, Tick when, Tick key_order,
+                   std::uint64_t key_tie)
+{
     Slot &s = heap_[event->heapIndex_];
+    PCIESIM_AUDIT_ONLY(liveKeys_.erase({s.when, s.order, s.tie});)
+    event->when_ = when;
     s.when = when;
-    if (parallelKeys_) {
-        s.order = curTick_;
-        s.tie = nextTie();
-    } else {
-        s.order = nextOrder_++;
-        s.tie = 0;
-    }
+    s.order = key_order;
+    s.tie = key_tie;
+    PCIESIM_AUDIT_ONLY(auditKeyAdded(s);)
     siftAny(event->heapIndex_);
 }
 
@@ -228,19 +229,24 @@ EventQueue::step(Tick max_tick)
     if (heap_.empty() || heap_[0].when > max_tick)
         return false;
 
-    Event *event = heap_[0].event;
-    curTick_ = heap_[0].when;
+    const Slot top = heap_[0];
+    curTick_ = top.when;
     removeAt(0);
     maybeAuditHeap();
 
     ++numProcessed_;
+    // Schedules made by the event derive their ties from its key.
+    firing_ = true;
+    parentOrder_ = top.order;
+    parentTie_ = top.tie;
+    children_ = 0;
 #if PCIESIM_PROFILING
-    if (prof::enabledFlag) [[unlikely]] {
-        prof::profileProcess(event);
-        return true;
-    }
+    if (prof::enabledFlag) [[unlikely]]
+        prof::profileProcess(top.event);
+    else
 #endif
-    event->process();
+        top.event->process();
+    firing_ = false;
     return true;
 }
 

@@ -7,10 +7,13 @@
 #define PCIESIM_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "event.hh"
 #include "invariant.hh"
+#include "logging.hh"
 #include "ticks.hh"
 
 namespace pciesim
@@ -30,25 +33,39 @@ namespace pciesim
  * halves the tree depth of a binary heap and keeps the child scan
  * inside two cache lines of slots.
  *
- * Ordering: earliest tick first; events at the same tick fire in
- * scheduling order (a monotone order counter assigned on every
- * schedule/reschedule), which keeps simulations deterministic.
- *
- * Parallel mode (DESIGN.md §10): when a simulation is partitioned
- * into link domains, each domain's queue runs in keyed mode
- * (configureParallelKeys). The same-tick tiebreak then becomes the
- * composite key (scheduling tick, scheduling domain, per-domain
- * serial) instead of a global counter, so the relative order of
- * any two events is a pure function of the simulated history — no
- * matter which worker thread ran which domain, and identical for 1
- * and N threads. Cross-domain arrivals enter through the keyed
- * entry points (scheduleKeyed and friends) carrying the key
+ * Ordering (DESIGN.md §10): earliest tick first; at the same tick,
+ * by the key (order, tie), where order is the tick the schedule was
+ * made at and tie is a pure function of simulated history:
+ *  - a schedule made while an event fires takes a tie derived from
+ *    that parent's key — mix(parent order, parent tie) in the high
+ *    48 bits over a sibling serial in the low 16 — so one firing's
+ *    children keep FIFO order and children of different parents
+ *    are ordered by the hash, whichever queue the parent ran on;
+ *  - a schedule made outside any event (construction, startup,
+ *    between runs) takes the next value of one counter per
+ *    Simulation, shared by all of its queues.
+ * No key depends on which queue an event lives on or on a worker
+ * thread's progress, so a partitioned run at any thread count and
+ * the single queue execute one order: the single queue is just the
+ * fastest schedule of it. Cross-domain arrivals enter through the
+ * keyed entry points (scheduleKeyed and friends) carrying the key
  * computed at post time on the sending domain.
  */
 class EventQueue
 {
   public:
-    EventQueue() = default;
+    /**
+     * @param domain_id The link domain this queue runs (0 for the
+     *        host or an unpartitioned simulation).
+     * @param boot_ties The counter behind ties of schedules made
+     *        outside any event; a Simulation shares one among all
+     *        of its queues. Null gives the queue its own.
+     */
+    explicit EventQueue(unsigned domain_id = 0,
+                        std::uint64_t *boot_ties = nullptr)
+        : domainId_(domain_id),
+          bootTies_(boot_ties != nullptr ? boot_ties : &ownBootTies_)
+    {}
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -102,27 +119,30 @@ class EventQueue
     std::uint64_t numProcessed() const { return numProcessed_; }
 
     /** @{
-     * Parallel-execution hooks (sim/parallel.hh; DESIGN.md §10).
-     * A queue in keyed mode derives same-tick tiebreaks from
-     * (scheduling tick, domain, per-domain serial) so heap order is
-     * independent of worker-thread interleaving.
+     * Keyed scheduling and parallel-execution hooks
+     * (sim/parallel.hh; DESIGN.md §10).
      */
-
-    /** Switch this queue to keyed mode as domain @p domain_id. */
-    void
-    configureParallelKeys(unsigned domain_id)
-    {
-        parallelKeys_ = true;
-        domainId_ = domain_id;
-        tieBase_ = static_cast<std::uint64_t>(domain_id) << 48;
-    }
 
     unsigned domainId() const { return domainId_; }
 
-    /** The next tiebreak value for a schedule issued by this
-     *  domain; the engine consumes these for mailboxed posts so
-     *  local and cross-domain schedules share one serial stream. */
-    std::uint64_t nextTie() { return tieBase_ | tieSeq_++; }
+    /**
+     * The tie of the next schedule made from this queue's context:
+     * a child tie of the firing event, or the next boot-counter
+     * value outside any event. Keyed posts (mailbox, wire delivery)
+     * take theirs here, so they share one stream with schedule().
+     */
+    std::uint64_t
+    nextTie()
+    {
+        if (!firing_)
+            return (*bootTies_)++;
+        if (children_ == 0)
+            childBase_ = mixKey(parentOrder_, parentTie_) & ~serialMask;
+        panicIf(children_ == serialMask,
+                "one event firing at tick ", curTick_,
+                " scheduled more than ", serialMask, " children");
+        return childBase_ | ++children_;
+    }
 
     /** Schedule with an explicit key computed on the sending
      *  domain (mailbox apply path). */
@@ -186,9 +206,9 @@ class EventQueue
 
     /** One heap entry: the sort key by value plus the event.
      *  32 bytes, so the 4-ary child scan still spans at most two
-     *  cache lines of slots. Legacy mode uses (when, order) with
-     *  tie = 0; keyed mode uses (when, scheduling tick, domain |
-     *  serial). */
+     *  cache lines of slots. order is the scheduling tick; tie is
+     *  the nextTie() value of the schedule (see the class
+     *  comment). */
     struct Slot
     {
         Tick when;
@@ -207,12 +227,37 @@ class EventQueue
         return a.tie < b.tie;
     }
 
+    /** Sibling serial bits in a child tie; the rest is the mix. */
+    static constexpr std::uint64_t serialMask = 0xffff;
+
+    /** A parent's (order, tie) key hashed by splitmix64's step,
+     *  applied twice. The increment keeps (0, 0), the first boot
+     *  event's key, from mixing to 0, which would put its
+     *  children's ties among the boot counter's small values. */
+    static std::uint64_t
+    mixKey(std::uint64_t order, std::uint64_t tie)
+    {
+        auto step = [](std::uint64_t h) {
+            h += 0x9e3779b97f4a7c15ULL;
+            h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+            h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+            return h ^ (h >> 31);
+        };
+        return step(step(order) ^ tie);
+    }
+
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
     /** Re-establish heap order for slot @p i in either direction. */
     void siftAny(std::size_t i);
     /** Detach the event at slot @p i, refilling from the back. */
     void removeAt(std::size_t i);
+    /** Re-key the scheduled @p event in place and sift it. */
+    void setKey(Event *event, Tick when, Tick key_order,
+                std::uint64_t key_tie);
+    /** Audit builds: record @p s's key, panicking if another live
+     *  event already holds it. */
+    PCIESIM_AUDIT_ONLY(void auditKeyAdded(const Slot &s);)
 
     /** Audit builds: run auditHeap() every auditPeriod mutations. */
     void
@@ -229,16 +274,29 @@ class EventQueue
 
     std::vector<Slot> heap_;
     Tick curTick_ = 0;
-    std::uint64_t nextOrder_ = 0;
     std::uint64_t numProcessed_ = 0;
 
-    /** Keyed (parallel) tiebreak state; see configureParallelKeys. */
-    bool parallelKeys_ = false;
-    unsigned domainId_ = 0;
-    std::uint64_t tieBase_ = 0;
-    std::uint64_t tieSeq_ = 0;
+    unsigned domainId_;
+    std::uint64_t ownBootTies_ = 0;
+    std::uint64_t *bootTies_;
+
+    /** @{ The event being processed, whose key its children's
+     *  ties derive from; childBase_ is mixed on the first child. */
+    bool firing_ = false;
+    std::uint64_t parentOrder_ = 0;
+    std::uint64_t parentTie_ = 0;
+    std::uint64_t childBase_ = 0;
+    std::uint64_t children_ = 0;
+    /** @} */
+
     std::uint64_t domainSerial_ = 0;
     PCIESIM_AUDIT_ONLY(std::uint64_t auditCounter_ = 0;)
+    /** Audit builds: every live key, to catch two distinct events
+     *  comparing equal (a 48-bit mix collision would leave their
+     *  order to insertion order). */
+    PCIESIM_AUDIT_ONLY(std::map<std::tuple<Tick, std::uint64_t,
+                                           std::uint64_t>,
+                                const Event *> liveKeys_;)
 };
 
 } // namespace pciesim

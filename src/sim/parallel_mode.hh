@@ -7,11 +7,12 @@
  * without pulling in the engine itself. Two flags, for two
  * different questions:
  *
- *  - par::engineActive: do cross-domain *semantics* apply? True for
- *    the whole of ParallelEngine::run(). It keys cross-domain
- *    posting, composite heap keys, domain packet ids and
- *    Simulation::curTick() routing, so it is a pure function of the
- *    configuration and never of the wall clock or the window kind.
+ *  - par::engineActive: must cross-domain effects go through the
+ *    engine? True for the whole of ParallelEngine::run(). It keys
+ *    the choice between a mailbox post and a direct schedule,
+ *    domain packet ids and Simulation::curTick() routing, so it is
+ *    a pure function of the configuration and never of the wall
+ *    clock or the window kind.
  *  - par::concurrent: can another thread touch shared state right
  *    now? True only while a fanned-out window runs. It keys the
  *    *synchronization* alone — the packet pool mutex, atomic

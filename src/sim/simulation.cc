@@ -10,7 +10,7 @@
 namespace pciesim
 {
 
-Simulation::Simulation() = default;
+Simulation::Simulation() : eventq_(0, &bootTies_) {}
 
 Simulation::~Simulation() = default;
 
@@ -26,13 +26,10 @@ unsigned
 Simulation::addDomain(const std::string &label)
 {
     panicIf(initialized_, "domain added after initialize()");
-    if (extraQueues_.empty()) {
-        eventq_.configureParallelKeys(0);
+    if (extraQueues_.empty())
         domainLabels_.assign(1, "host");
-    }
     const unsigned id = numDomains();
-    extraQueues_.push_back(std::make_unique<EventQueue>());
-    extraQueues_.back()->configureParallelKeys(id);
+    extraQueues_.push_back(std::make_unique<EventQueue>(id, &bootTies_));
     domainLabels_.push_back(
         label.empty() ? "domain" + std::to_string(id) : label);
     return id;

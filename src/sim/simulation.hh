@@ -37,9 +37,10 @@ class SimObject;
  * queue per extra domain and DomainScope binds the objects
  * constructed inside it to that domain's queue. setupParallel()
  * then attaches a quantum-synchronized engine; run() drives all
- * domains through it. With no extra domains (the default, and the
- * --threads 1 collapse) everything below is byte-for-byte the
- * original single-queue behavior.
+ * domains through it. Event keys do not depend on the partition
+ * (EventQueue), so every partition and thread count runs the
+ * simulated history of the single queue; with no extra domains
+ * run() simply drains that queue.
  */
 class Simulation
 {
@@ -90,12 +91,9 @@ class Simulation
 
     /**
      * Create a new link domain with its own event queue and return
-     * its id. The first call also flips domain 0's queue to keyed
-     * tiebreak mode so same-tick ordering is thread-count
-     * independent across the whole fabric. @p label names the
-     * domain in telemetry output (stats Vector subnames, Perfetto
-     * tracks, pciesim-report imbalance); empty keeps the default
-     * "domain<id>".
+     * its id. @p label names the domain in telemetry output (stats
+     * Vector subnames, Perfetto tracks, pciesim-report imbalance);
+     * empty keeps the default "domain<id>".
      */
     unsigned addDomain(const std::string &label = "");
 
@@ -103,7 +101,7 @@ class Simulation
      *  overridden). */
     const std::string &domainLabel(unsigned d) const;
 
-    /** Number of domains (1 == unpartitioned legacy simulation). */
+    /** Number of domains (1 == unpartitioned simulation). */
     unsigned numDomains() const
     {
         return 1 + static_cast<unsigned>(extraQueues_.size());
@@ -151,7 +149,7 @@ class Simulation
      */
     void setupParallel(unsigned threads, Tick quantum);
 
-    /** The attached engine, or null (legacy single-queue run). */
+    /** The attached engine, or null (single-queue run). */
     ParallelEngine *engine() { return engine_.get(); }
 
     /**
@@ -159,7 +157,7 @@ class Simulation
      * foreign domain mid-window this is mailboxed through the
      * engine ((when - now) must be >= the quantum); otherwise it
      * schedules directly. Used for cross-domain side effects that
-     * are not packets (e.g. INTx wire-or toward the host GIC).
+     * are not packets (e.g. INTx messages toward the host GIC).
      */
     void callAt(unsigned d, Tick when, std::function<void()> fn);
 
@@ -177,6 +175,9 @@ class Simulation
     Tick runFor(Tick duration);
 
   private:
+    /** Ties of schedules made outside any event, on any queue
+     *  (EventQueue::nextTie()). */
+    std::uint64_t bootTies_ = 0;
     EventQueue eventq_;
     std::vector<std::unique_ptr<EventQueue>> extraQueues_;
     /** Index == domain id; [0] defaults to "host". */

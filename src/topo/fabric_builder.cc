@@ -133,6 +133,8 @@ applyConfigKey(SystemConfig &c, const std::string &src,
         c.ackImmediate = needBool(src, key, v);
     } else if (key == "replay_timeout_scale") {
         c.replayTimeoutScale = needNum(src, key, v);
+        if (c.replayTimeoutScale <= 0)
+            jfail(src, v.line, "key '" + key + "' must be > 0");
     } else if (key == "switch_downstream_ports") {
         c.switchDownstreamPorts =
             static_cast<unsigned>(needUInt(src, key, v));
@@ -198,7 +200,10 @@ parseLinkDesc(const std::string &src, const json::Value &v)
         } else if (key == "gen") {
             link.gen = static_cast<int>(needCount(src, key, lv));
         } else if (key == "bit_error_rate") {
+            // Negative is the builder's "inherit the config BER".
             link.bitErrorRate = needNum(src, key, lv);
+            if (link.bitErrorRate < 0)
+                jfail(src, lv.line, "key '" + key + "' must be >= 0");
         } else if (key == "replay_buffer_size") {
             link.replayBufferSize =
                 static_cast<std::size_t>(needCount(src, key, lv));
@@ -748,9 +753,10 @@ Fabric::buildPcie()
     const SystemConfig &config = desc_.config;
 
     // Parallel partitioning (DESIGN.md Sec. 10): cut the fabric at
-    // its links when requested and safe. threads == 1 keeps the
-    // degenerate one-worker partition whose keyed heap order is
-    // shared with every thread count (1-vs-N byte identity).
+    // its links when requested and safe. Event keys do not depend
+    // on the partition, so threads == 0 (one queue), threads == 1
+    // (the one-worker engine) and any other count simulate the
+    // same history; the thread count changes only wall time.
     const bool link_faults =
         std::any_of(nodes_.begin(), nodes_.end(), [](const Node &n) {
             return n.linkParams.faults.bitErrorRate > 0.0;
@@ -780,9 +786,6 @@ Fabric::buildPcie()
     Tick quantum = nodes_.empty() ? 0 : maxTick;
     for (const Node &n : nodes_)
         quantum = std::min(quantum, linkLookahead(n.linkParams));
-    const Tick intx_latency =
-        parallel ? std::max(config.intxLatency, quantum)
-                 : config.intxLatency;
 
     // Domain assignment, in declaration order: one domain per
     // switch or endpoint; NICs sharing an Ethernet wire share one
@@ -892,7 +895,7 @@ Fabric::buildPcie()
             nics_.back()->attachWire(*wires_[n.wireGroup], n.wirePort);
     }
 
-    registerTree(intx_latency);
+    registerTree();
 
     // Hand each link interface to its domain's queue and attach
     // the quantum-synchronized engine.
@@ -912,11 +915,12 @@ Fabric::buildPcie()
 }
 
 void
-Fabric::registerTree(Tick intx_latency)
+Fabric::registerTree()
 {
     if (!desc_.enumerate)
         return;
-    for (Node &n : nodes_) {
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        Node &n = nodes_[i];
         if (n.sw != nullptr) {
             pciHost_->registerFunction(n.sw->upstreamVp2p(),
                                        n.bdf);
@@ -928,7 +932,18 @@ Fabric::registerTree(Tick intx_latency)
             }
         } else {
             pciHost_->registerFunction(*n.dev, n.bdf);
-            installIntxSink(*n.dev, intx_latency);
+            // Assert_INTx is an in-band message: it takes at least
+            // the lookahead of every link up to the root complex.
+            // That sum is at least the quantum of any partition, so
+            // the interrupt never undercuts the lookahead.
+            Tick path = 0;
+            if (n.link != nullptr) {
+                for (int j = static_cast<int>(i); j >= 0;
+                     j = nodes_[j].parentIndex)
+                    path += linkLookahead(nodes_[j].linkParams);
+            }
+            installIntxSink(*n.dev,
+                            std::max(desc_.config.intxLatency, path));
         }
     }
     for (auto &drv : ideDrivers_)
@@ -1115,7 +1130,7 @@ Fabric::buildLegacyIo()
     iobus_->addMasterPort("iocMaster").bind(ioCache_->slavePort());
 
     // Flat topology: the disk is the only device on bus 0.
-    registerTree(config.intxLatency);
+    registerTree();
 }
 
 void

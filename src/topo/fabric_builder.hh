@@ -284,7 +284,7 @@ class Fabric
     void buildDevice(Node &n);
     void buildObservability();
     void wireAer();
-    void registerTree(Tick intx_latency);
+    void registerTree();
     void auditConfig();
     void installIntxSink(PciDevice &dev, Tick intx_latency);
     /** Deepest switch owning a downstream port routing @p bus. */

@@ -104,21 +104,20 @@ struct SystemConfig
     /** @{ Parallel execution (DESIGN.md Sec. 10). */
     /**
      * Number of worker threads for parallel discrete-event
-     * execution. 0 (the default) keeps today's single-queue core
-     * bit-for-bit. Any value >= 1 switches the topology into
-     * deterministic parallel mode: link endpoints are partitioned
-     * into domains, out-of-band interrupt wires take on a modeled
-     * latency of at least one quantum (see intxLatency), and the
-     * run produces identical stats for every thread count.
+     * execution; it changes only wall time. 0 (the default) runs
+     * one event queue. Any value >= 1 partitions the fabric's link
+     * endpoints into domains driven by that many workers, where
+     * the configuration allows it. Every count simulates the same
+     * history: identical stats outside the engine's own
+     * "system.parallel.*" block.
      */
     unsigned threads = 0;
     /**
-     * Modeled latency of the out-of-band INTx wire from a device's
-     * interrupt pin to the interrupt controller. In parallel mode
-     * the effective value is clamped up to the synchronization
-     * quantum so the hop never undercuts the lookahead; the clamp
-     * depends only on the configuration, so every thread count
-     * models the same wire.
+     * Minimum latency of the Assert_INTx/Deassert_INTx message from
+     * a device to the interrupt controller. The effective value is
+     * at least the sum of linkLookahead() over the device's links
+     * up to the root complex, at every thread count; a device with
+     * no PCIe link (the legacy-io style) uses this value alone.
      */
     Tick intxLatency = 0;
     /** @} */

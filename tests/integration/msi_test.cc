@@ -79,9 +79,10 @@ TEST(Msi, CompletionsDeliveredAsMessageTlps)
 TEST(Msi, InBandLatencyScalesWithRcLatencyUnlikeIntx)
 {
     // An MSI crosses the link and root complex like any TLP, so its
-    // delivery cost grows with the RC latency; the INTx wire is
-    // out of band and does not. Measure time from sendFrame to the
-    // TX-done handler across RC latencies in both modes.
+    // delivery cost grows with the RC latency; the INTx message
+    // takes the link lookaheads alone and does not. Measure time
+    // from sendFrame to the TX-done handler across RC latencies in
+    // both modes.
     auto measure = [](bool msi, unsigned rc_ns) {
         Simulation sim;
         FabricDesc desc = loopback();

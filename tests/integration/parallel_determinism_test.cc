@@ -1,13 +1,21 @@
 /**
  * @file
- * Parallel determinism test: the multi-device topology run with one
- * worker thread and with four must produce bit-identical statistics
- * and the same final tick. This is the engine's non-negotiable
- * contract (DESIGN.md Sec. 10): event order is a pure function of
- * simulated history, never of how the OS interleaved the workers.
- * The bench-level tier-2 gate checks the same property over full
- * JSON exports; this in-process version runs in the tier-1 suite
- * and points at the first divergent stats line when it breaks.
+ * Parallel determinism tests: one execution semantics (DESIGN.md
+ * Sec. 10). The thread count changes only wall time, so a fabric
+ * run on one event queue (--threads 0), on the one-worker engine
+ * (--threads 1) and on four workers must reach the same final tick
+ * and the same value for every statistic outside the engine's own
+ * "system.parallel.*" block. Event order is a pure function of
+ * simulated history, never of the partition or of how the OS
+ * interleaved the workers.
+ *
+ * The gate covers every example topology with its bench_fabric
+ * --topology workload, plus an eight-generator multi-device
+ * fabric. Between one worker and four, even the engine block must
+ * match, which the original 1-vs-4 case still asserts. The
+ * bench-level tier-2 gates check the same property over full JSON
+ * exports; this in-process version runs in the tier-1 suite and
+ * points at the first divergent stats line when it breaks.
  */
 
 #include <gtest/gtest.h>
@@ -27,16 +35,34 @@ struct RunResult
 {
     double gbps = 0.0;
     Tick endTick = 0;
+    bool partitioned = false;
     std::string stats;
 };
 
-/** One seeded multi-device run at the given worker count. The
- *  config keeps every link fault-free so the fabric actually
- *  partitions (one domain per link hop). */
-RunResult
-threadedRun(unsigned threads)
+/** The registry dump of @p sim, with or without the engine's own
+ *  "system.parallel.*" lines (present only when partitioned). */
+std::string
+dumpStats(Simulation &sim, bool with_engine)
 {
-    // multi_device.json widened to eight generators.
+    std::ostringstream os;
+    sim.statsRegistry().dump(os);
+    if (with_engine)
+        return os.str();
+    std::istringstream in(os.str());
+    std::string line, kept;
+    while (std::getline(in, line)) {
+        if (line.rfind("system.parallel.", 0) != 0)
+            kept += line + "\n";
+    }
+    return kept;
+}
+
+/** multi_device.json widened to eight generators. The config keeps
+ *  every link fault-free so the fabric actually partitions (one
+ *  domain per link hop). */
+FabricDesc
+mdev8Desc()
+{
     const std::string text = R"({"nodes": [
         {"name": "switch", "kind": "switch", "ports": 8,
          "link": {"name": "upLink"}},
@@ -45,29 +71,66 @@ threadedRun(unsigned threads)
          "link": {"name": "devLink", "width": 1}}]})";
     FabricDesc desc =
         parseFabricDesc(topo::parseJson(text, "<mdev8>"), "<mdev8>");
-    desc.config.threads = threads;
     desc.config.upstreamLinkWidth = 16;
     desc.config.linkPropagation = 500_ns;
     desc.config.replayTimeoutScale = 100.0;
     desc.config.ackImmediate = true;
     desc.config.replayBufferSize = 32;
     desc.config.portBufferSize = 64;
+    return desc;
+}
 
+/** One seeded mdev8 run at the given worker count. */
+RunResult
+threadedRun(unsigned threads, bool with_engine = true)
+{
+    FabricDesc desc = mdev8Desc();
+    desc.config.threads = threads;
     Simulation sim;
     Fabric system(sim, desc);
     RunResult r;
     r.gbps = system.runConcurrentWrites(8, 4, 4096);
     r.endTick = sim.curTick();
-    std::ostringstream os;
-    sim.statsRegistry().dump(os);
-    r.stats = os.str();
+    r.partitioned = system.partitioned();
+    r.stats = dumpStats(sim, with_engine);
+    return r;
+}
+
+/** One run of examples/topologies/@p file with bench_fabric
+ *  --topology's workload: direct DMA writes when the fabric has
+ *  traffic generators, a 1 MiB dd when it has a disk, a bare boot
+ *  otherwise. */
+RunResult
+topologyRun(const std::string &file, unsigned threads)
+{
+    FabricDesc desc =
+        loadFabricDesc(std::string(PCIESIM_TOPOLOGY_DIR) + "/" + file);
+    desc.config.threads = threads;
+    Simulation sim;
+    Fabric fabric(sim, desc);
+    RunResult r;
+    if (desc.enumerate && fabric.numNics() == 0)
+        fabric.boot();
+    if (fabric.numTrafficGens() > 0) {
+        r.gbps = fabric.runDirectWrites(8, 16384);
+    } else if (fabric.numDisks() > 0) {
+        DdWorkloadParams dd;
+        dd.blockBytes = 1 << 20;
+        r.gbps = fabric.runDd(dd);
+    } else {
+        fabric.boot();
+    }
+    r.endTick = sim.curTick();
+    r.partitioned = fabric.partitioned();
+    r.stats = dumpStats(sim, false);
     return r;
 }
 
 /** First-divergent-line comparison (EXPECT_EQ's diff is quadratic
  *  on dumps this size). */
 void
-expectIdentical(const std::string &a, const std::string &b)
+expectIdentical(const std::string &a, const std::string &b,
+                const char *label_a, const char *label_b)
 {
     if (a == b)
         return;
@@ -80,13 +143,26 @@ expectIdentical(const std::string &a, const std::string &b)
         bool gb = static_cast<bool>(std::getline(sb, lb));
         if (!ga || !gb || la != lb) {
             ADD_FAILURE()
-                << "stats diverged between 1 and 4 worker threads "
-                << "at line " << line << ":\n  1t: "
-                << (ga ? la : "<eof>") << "\n  4t: "
-                << (gb ? lb : "<eof>");
+                << "stats diverged between " << label_a << " and "
+                << label_b << " at line " << line << ":\n  "
+                << label_a << ": " << (ga ? la : "<eof>") << "\n  "
+                << label_b << ": " << (gb ? lb : "<eof>");
             return;
         }
     }
+}
+
+/** The t0/t1/t4 gate over three runs of one workload. */
+void
+expectOneSemantics(const RunResult &t0, const RunResult &t1,
+                   const RunResult &t4)
+{
+    EXPECT_EQ(t0.endTick, t1.endTick);
+    EXPECT_EQ(t1.endTick, t4.endTick);
+    EXPECT_EQ(t0.gbps, t1.gbps);
+    EXPECT_EQ(t1.gbps, t4.gbps);
+    expectIdentical(t0.stats, t1.stats, "t0", "t1");
+    expectIdentical(t1.stats, t4.stats, "t1", "t4");
 }
 
 } // namespace
@@ -102,5 +178,44 @@ TEST(ParallelDeterminism, OneVsFourThreadsBitIdentical)
 
     EXPECT_EQ(one.endTick, four.endTick);
     EXPECT_EQ(one.gbps, four.gbps);
-    expectIdentical(one.stats, four.stats);
+    expectIdentical(one.stats, four.stats, "1t", "4t");
 }
+
+TEST(ParallelDeterminism, Mdev8SingleQueueMatchesEngine)
+{
+    RunResult t0 = threadedRun(0, false);
+    RunResult t1 = threadedRun(1, false);
+    RunResult t4 = threadedRun(4, false);
+    EXPECT_FALSE(t0.partitioned);
+    EXPECT_TRUE(t1.partitioned);
+    expectOneSemantics(t0, t1, t4);
+}
+
+class TopologyDeterminism
+    : public ::testing::TestWithParam<const char *>
+{};
+
+TEST_P(TopologyDeterminism, SingleQueueMatchesEngine)
+{
+    const std::string file = GetParam();
+    RunResult t0 = topologyRun(file, 0);
+    RunResult t1 = topologyRun(file, 1);
+    RunResult t4 = topologyRun(file, 4);
+
+    // Every topology but the link-less legacy-io baseline is cut
+    // into domains, so the engine really ran.
+    EXPECT_FALSE(t0.partitioned);
+    EXPECT_EQ(t4.partitioned, file != "baseline.json");
+    EXPECT_GT(t0.endTick, 0u);
+    expectOneSemantics(t0, t1, t4);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ExampleTopologies, TopologyDeterminism,
+    ::testing::Values("storage.json", "baseline.json", "nic.json",
+                      "nic_loopback.json", "multi_device.json",
+                      "tree3.json"),
+    [](const ::testing::TestParamInfo<const char *> &info) {
+        const std::string file = info.param;
+        return file.substr(0, file.find('.'));
+    });

@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/invariant.hh"
 #include "sim/logging.hh"
+#include "sim/simulation.hh"
 
 using namespace pciesim;
 using namespace pciesim::literals;
@@ -168,6 +170,112 @@ TEST(EventQueueTest, DescheduleRescheduleCycleStaysConsistent)
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(q.curTick(), 200u);
 }
+
+TEST(EventQueueTest, SiblingsStayFifo)
+{
+    // One firing's children at one tick fire in scheduling order,
+    // whatever order they were declared in.
+    EventQueue q;
+    std::vector<int> order;
+    EventFunctionWrapper a([&] { order.push_back(1); }, "a");
+    EventFunctionWrapper b([&] { order.push_back(2); }, "b");
+    EventFunctionWrapper c([&] { order.push_back(3); }, "c");
+    EventFunctionWrapper parent(
+        [&] {
+            q.schedule(&c, 50);
+            q.schedule(&a, 50);
+            q.schedule(&b, 50);
+        },
+        "parent");
+    q.schedule(&parent, 10);
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{3, 1, 2}));
+}
+
+TEST(EventQueueTest, ChildTiesDependOnlyOnTheParentKey)
+{
+    // The same parent key yields the same child ties on any queue
+    // of any domain, which is what makes a partitioned run execute
+    // the single queue's order.
+    Simulation sim;
+    sim.addDomain();
+    EventQueue solo;
+    std::vector<std::uint64_t> ties[2];
+    auto parent_on = [&ties](EventQueue &q, int i) {
+        return [&q, &ties, i] {
+            ties[i].push_back(q.nextTie());
+            ties[i].push_back(q.nextTie());
+        };
+    };
+    EventFunctionWrapper p0(parent_on(sim.domainQueue(1), 0), "p0");
+    EventFunctionWrapper p1(parent_on(solo, 1), "p1");
+    sim.domainQueue(1).scheduleKeyed(&p0, 40, 30, 12345);
+    solo.scheduleKeyed(&p1, 40, 30, 12345);
+    sim.domainQueue(1).run();
+    solo.run();
+    ASSERT_EQ(ties[0].size(), 2u);
+    EXPECT_EQ(ties[0], ties[1]);
+    // Siblings share the mixed high bits over a rising serial.
+    EXPECT_EQ(ties[0][1], ties[0][0] + 1);
+}
+
+TEST(EventQueueTest, OutOfEventSchedulesShareTheSimulationCounter)
+{
+    // Construction, startup and between-run schedules on every
+    // queue of one Simulation draw from one counter, so their
+    // order does not depend on how the fabric was partitioned.
+    Simulation sim;
+    sim.addDomain();
+    EventQueue &q0 = sim.domainQueue(0);
+    EventQueue &q1 = sim.domainQueue(1);
+    const std::uint64_t first = q0.nextTie();
+    EXPECT_EQ(q1.nextTie(), first + 1);
+    EXPECT_EQ(q0.nextTie(), first + 2);
+
+    // schedule() draws from the same counter.
+    EventFunctionWrapper a([] {}, "a");
+    EventFunctionWrapper b([] {}, "b");
+    q1.schedule(&a, 10);
+    q0.schedule(&b, 10);
+    EXPECT_EQ(q1.nextTie(), first + 5);
+}
+
+TEST_F(EventQueueDeathTest, TooManyChildrenOfOneFiringPanics)
+{
+    // The sibling serial has 16 bits; the 65536th child of one
+    // firing would carry into the mixed parent bits.
+    EventQueue q;
+    bool threw = false;
+    std::uint64_t last = 0;
+    EventFunctionWrapper parent(
+        [&] {
+            for (unsigned i = 0; i < 65535; ++i)
+                last = q.nextTie();
+            try {
+                q.nextTie();
+            } catch (const PanicError &) {
+                threw = true;
+            }
+        },
+        "parent");
+    q.schedule(&parent, 1);
+    q.run();
+    EXPECT_EQ(last & 0xffff, 0xffffu);
+    EXPECT_TRUE(threw);
+}
+
+#ifdef PCIESIM_ENABLE_AUDIT
+TEST_F(EventQueueDeathTest, EqualKeysOfDistinctEventsPanic)
+{
+    // After a mix collision two live events could compare equal,
+    // and their order would fall to heap insertion order.
+    EventQueue q;
+    EventFunctionWrapper a([] {}, "a");
+    EventFunctionWrapper b([] {}, "b");
+    q.scheduleKeyed(&a, 10, 5, 77);
+    EXPECT_THROW(q.scheduleKeyed(&b, 10, 5, 77), PanicError);
+}
+#endif
 
 TEST_F(EventQueueDeathTest, SchedulingInThePastPanics)
 {

@@ -257,6 +257,14 @@ TEST(TopologyFuzz, PinnedInputsCiteFileAndLine)
          " { \"name\": \"g\", \"kind\": \"traffic_gen\",\n"
          "   \"link\": { \"width\": 0 } } ] }",
          "m.json:3: key 'width' must be >= 1"},
+        {"{ \"config\": {\n \"replay_timeout_scale\": -3 } }",
+         "m.json:2: key 'replay_timeout_scale' must be > 0"},
+        {"{ \"config\": {\n \"replay_timeout_scale\": 0 } }",
+         "m.json:2: key 'replay_timeout_scale' must be > 0"},
+        {"{ \"nodes\": [\n"
+         " { \"name\": \"g\", \"kind\": \"traffic_gen\",\n"
+         "   \"link\": { \"bit_error_rate\": -0.5 } } ] }",
+         "m.json:3: key 'bit_error_rate' must be >= 0"},
     };
     for (const auto &[text, want] : cases) {
         std::string msg = buildOrFatal(text, text);

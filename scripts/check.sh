@@ -102,8 +102,6 @@ cmake --build build-tsan -j "$jobs" --target bench_kernel \
 
 echo "== [9/9] profiler overhead gate (vs notrace) =="
 cmake --preset notrace >/dev/null
-cmake --build build-notrace -j "$jobs" --target bench_fig9a \
-    bench_kernel
 scripts/profiler_overhead_gate.sh
 
 if [ "$with_audit" = 1 ]; then

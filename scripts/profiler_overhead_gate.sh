@@ -23,14 +23,25 @@
 # Runs are interleaved and compared by median so a single scheduler
 # hiccup cannot fail the gate.
 #
-# Expects ./build and ./build-notrace to be built already (check.sh
-# arranges this). Usage: scripts/profiler_overhead_gate.sh [runs]
+# Expects ./build to be built and ./build-notrace to be configured
+# (cmake --preset notrace); the gate rebuilds the two notrace benches
+# itself so it never times stale binaries, and exits 2 (skipped)
+# when the notrace tree is not configured.
+# Usage: scripts/profiler_overhead_gate.sh [runs]
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 runs=${1:-5}
+
+if [ ! -f build-notrace/CMakeCache.txt ]; then
+    echo "profiler_overhead_gate: build-notrace is not configured" \
+        "(cmake --preset notrace)" >&2
+    exit 2
+fi
+cmake --build build-notrace -j 4 --target bench_fig9a bench_kernel \
+    >/dev/null
 
 # One run's cost: the sum of wall_ms across the bench's records,
 # optionally restricted to configs matching a prefix ($2).

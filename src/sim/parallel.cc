@@ -175,7 +175,6 @@ ParallelEngine::ParallelEngine(std::vector<EventQueue *> queues,
         barrierSeen_.assign(threads_, 0);
         barrierSampled_.assign(threads_, 0);
         barrierNs_.assign(threads_, 0);
-        pairOps_.assign(n * n, 0);
     }
 }
 
@@ -239,7 +238,6 @@ ParallelEngine::applyMailboxes()
                 const std::uint64_t ops = box.size();
                 mailboxSent_[src] += ops;
                 mailboxReceived_[dst] += ops;
-                pairOps_[src * n + dst] += ops;
             }
 #endif
             for (Op &op : box) {
@@ -720,31 +718,6 @@ ParallelEngine::mailboxReceived(unsigned d) const
 {
     return d < mailboxReceived_.size() ? mailboxReceived_[d].value()
                                        : 0;
-}
-
-std::uint64_t
-ParallelEngine::mailboxPair(unsigned src, unsigned dst) const
-{
-    const std::size_t n = queues_.size();
-    const std::size_t i =
-        static_cast<std::size_t>(src) * n + dst;
-    return i < pairOps_.size() ? pairOps_[i] : 0;
-}
-
-std::pair<unsigned, std::uint64_t>
-ParallelEngine::hottestPeerOf(unsigned d) const
-{
-    const std::size_t n = queues_.size();
-    unsigned best = d;
-    std::uint64_t best_ops = 0;
-    for (unsigned src = 0; src < n; ++src) {
-        const std::uint64_t ops = mailboxPair(src, d);
-        if (ops > best_ops) {
-            best = src;
-            best_ops = ops;
-        }
-    }
-    return {best, best_ops};
 }
 
 double

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "event_queue.hh"
@@ -119,11 +118,6 @@ class ParallelEngine
      *  domain @p d. */
     std::uint64_t mailboxSent(unsigned d) const;
     std::uint64_t mailboxReceived(unsigned d) const;
-    /** Mailbox operations from @p src to @p dst (the peer matrix). */
-    std::uint64_t mailboxPair(unsigned src, unsigned dst) const;
-    /** Busiest incoming peer of @p d: (src domain, op count);
-     *  (d, 0) when nothing arrived. */
-    std::pair<unsigned, std::uint64_t> hottestPeerOf(unsigned d) const;
     /** Max/mean events per domain; 0 with no events. */
     double loadImbalance() const;
     /** Estimated barrier+idle wall time over total wall time; 0
@@ -242,10 +236,6 @@ class ParallelEngine
     std::vector<std::uint64_t> barrierSeen_;
     std::vector<std::uint64_t> barrierSampled_;
     std::vector<std::uint64_t> barrierNs_;
-
-    /** Per-(src, dst) mailbox op counts; sized n^2 alongside
-     *  mail_. Updated only in applyMailboxes (single-threaded). */
-    std::vector<std::uint64_t> pairOps_;
 
     /** Perfetto track names, built lazily when tracing engages. */
     std::vector<std::string> trackNames_;

@@ -872,18 +872,14 @@ Fabric::buildPcie()
         }
 
         // Parent port <-> link <-> node.
-        if (n.parentIndex < 0) {
-            rootComplex_->rootPortMaster(n.portOnParent)
-                .bind(n.link->upSlave());
-            n.link->upMaster().bind(
-                rootComplex_->rootPortSlave(n.portOnParent));
-        } else {
-            PcieSwitch *psw = nodes_[n.parentIndex].sw;
-            psw->downstreamMaster(n.portOnParent)
-                .bind(n.link->upSlave());
-            n.link->upMaster().bind(
-                psw->downstreamSlave(n.portOnParent));
-        }
+        if (n.parentIndex < 0)
+            n.parent = rootComplex_.get();
+        else
+            n.parent = nodes_[n.parentIndex].sw;
+        n.parent->downstreamMaster(n.portOnParent)
+            .bind(n.link->upSlave());
+        n.link->upMaster().bind(
+            n.parent->downstreamSlave(n.portOnParent));
         if (n.sw != nullptr) {
             n.link->downMaster().bind(n.sw->upstreamSlavePort());
             n.sw->upstreamMasterPort().bind(n.link->downSlave());
@@ -963,7 +959,7 @@ Fabric::containingSwitch(unsigned bus, int &port)
     port = -1;
     for (unsigned idx : switchIdx_) {
         Node &n = nodes_[idx];
-        int p = n.sw->downstreamPortForBus(bus);
+        int p = n.sw->routeByBus(static_cast<int>(bus));
         if (p >= 0 && (best == nullptr || n.depth > best_depth)) {
             best = n.sw;
             best_depth = n.depth;
@@ -1002,22 +998,10 @@ Fabric::wireAer()
     };
 
     for (Node &n : nodes_) {
-        PciFunction *up_fn;
-        std::uint16_t up_key;
-        if (n.parentIndex < 0) {
-            up_fn = &rootComplex_->vp2p(n.portOnParent);
-            up_key = static_cast<std::uint16_t>(
-                Bdf{0, static_cast<std::uint8_t>(n.portOnParent),
-                    0}
-                    .key());
-        } else {
-            Node &p = nodes_[n.parentIndex];
-            up_fn = &p.sw->downstreamVp2p(n.portOnParent);
-            up_key = static_cast<std::uint16_t>(
-                Bdf{static_cast<std::uint8_t>(p.internalBus),
-                    static_cast<std::uint8_t>(n.portOnParent), 0}
-                    .key());
-        }
+        PciFunction *up_fn =
+            &n.parent->downstreamVp2p(n.portOnParent);
+        std::uint16_t up_key =
+            static_cast<std::uint16_t>(up_fn->bdf().key());
         PciFunction *down_fn =
             n.sw != nullptr
                 ? static_cast<PciFunction *>(&n.sw->upstreamVp2p())
@@ -1054,7 +1038,7 @@ Fabric::wireAer()
     // Requester-side completion timeouts become ERR_NONFATAL from
     // the requester's function.
     kernel_->setMmioTimeoutHook([this, latch](bool) {
-        latch(rootComplex_->vp2p(0),
+        latch(rootComplex_->downstreamVp2p(0),
               static_cast<std::uint16_t>(Bdf{0, 0, 0}.key()),
               ErrSeverity::NonFatal, cfg::aerUncCompletionTimeout);
     });
@@ -1063,7 +1047,7 @@ Fabric::wireAer()
     // status block, contain the failed subtree on FATAL, and
     // interrupt the kernel.
     errReporter_->setSink([this](const ErrMsg &msg) {
-        bool irq = rootComplex_->vp2p(0).aer().recordRootError(
+        bool irq = rootComplex_->downstreamVp2p(0).aer().recordRootError(
             msg.sev, msg.sourceId);
         if (msg.sev == ErrSeverity::Fatal) {
             int port = -1;

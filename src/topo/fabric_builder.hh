@@ -272,6 +272,8 @@ class Fabric
         unsigned domain = 0;
         PcieLink *link = nullptr;
         PcieSwitch *sw = nullptr;
+        /** The root complex or switch above the upstream link. */
+        PcieRouter *parent = nullptr;
         PciDevice *dev = nullptr;
     };
 

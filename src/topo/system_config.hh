@@ -22,9 +22,8 @@
 #include "os/ide_driver.hh"
 #include "os/kernel.hh"
 #include "pcie/pcie_link.hh"
-#include "pcie/pcie_switch.hh"
+#include "pcie/pcie_router.hh"
 #include "pcie/pcie_timing.hh"
-#include "pcie/root_complex.hh"
 
 namespace pciesim
 {

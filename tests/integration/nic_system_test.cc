@@ -51,7 +51,7 @@ TEST(NicFabric, EnumerationPlacesNicOnBusOne)
     EXPECT_EQ(nic->bdf.bus, 1);
     EXPECT_EQ(nic->bars[0].size(), 128u * 1024);
     // The root port VP2P window covers the NIC BAR.
-    EXPECT_TRUE(system.rootComplex().vp2p(0).memWindow().covers(
+    EXPECT_TRUE(system.rootComplex().downstreamVp2p(0).memWindow().covers(
         nic->bars[0]));
 }
 

@@ -76,7 +76,7 @@ TEST(ResilienceTest, SurpriseUnplugRecoversAndDdCompletes)
         // Containment was released: the port passes traffic again.
         EXPECT_FALSE(sys.pcieSwitch().portContained(0));
         // The kernel serviced (W1C-cleared) the root error status.
-        EXPECT_EQ(sys.rootComplex().vp2p(0).aer().rootErrStatus(),
+        EXPECT_EQ(sys.rootComplex().downstreamVp2p(0).aer().rootErrStatus(),
                   0u);
     });
 

@@ -38,7 +38,7 @@ TEST(StorageFabric, BootEnumeratesAndProbes)
 
     // Bridge windows must nest: RC VP2P window covers the switch
     // upstream VP2P window, which covers the disk BARs.
-    AddrRange rc_io = system.rootComplex().vp2p(0).ioWindow();
+    AddrRange rc_io = system.rootComplex().downstreamVp2p(0).ioWindow();
     AddrRange sw_io = system.pcieSwitch().upstreamVp2p().ioWindow();
     AddrRange dn_io =
         system.pcieSwitch().downstreamVp2p(0).ioWindow();

@@ -8,7 +8,7 @@
 #include "../common/test_ports.hh"
 #include "pci/bridge_header.hh"
 #include "pci/config_regs.hh"
-#include "pcie/pcie_switch.hh"
+#include "pcie/pcie_router.hh"
 
 using namespace pciesim;
 using namespace pciesim::test;

@@ -10,7 +10,7 @@
 #include "../common/test_ports.hh"
 #include "pci/bridge_header.hh"
 #include "pci/config_regs.hh"
-#include "pcie/root_complex.hh"
+#include "pcie/pcie_router.hh"
 
 using namespace pciesim;
 using namespace pciesim::test;
@@ -32,8 +32,8 @@ struct RcFixture : ::testing::Test
         membus.bind(rc->upstreamSlavePort());
         rc->upstreamMasterPort().bind(iocache);
         for (unsigned i = 0; i < 3; ++i) {
-            rc->rootPortMaster(i).bind(linkReqSink[i]);
-            linkRespSrc[i].bind(rc->rootPortSlave(i));
+            rc->downstreamMaster(i).bind(linkReqSink[i]);
+            linkRespSrc[i].bind(rc->downstreamSlave(i));
         }
     }
 
@@ -42,7 +42,7 @@ struct RcFixture : ::testing::Test
     programVp2p(unsigned i, Addr base, Addr limit, unsigned sec,
                 unsigned sub)
     {
-        ConfigSpace &cs = rc->vp2p(i).config();
+        ConfigSpace &cs = rc->downstreamVp2p(i).config();
         BridgeHeader::programBusNumbers(cs, 0, sec, sub);
         BridgeHeader::programMemWindow(cs, base, limit);
         cs.write(cfg::command, 2,
@@ -86,7 +86,7 @@ TEST_F(RcFixture, Vp2psRegisterWithWildcatIds)
 
 TEST_F(RcFixture, Vp2pExposesRootPortPcieCapability)
 {
-    ConfigSpace &cs = rc->vp2p(0).config();
+    ConfigSpace &cs = rc->downstreamVp2p(0).config();
     EXPECT_EQ(cs.raw8(cfg::capPtr), Vp2p::pcieCapOffset);
     std::uint16_t cap =
         cs.raw16(Vp2p::pcieCapOffset + cfg::pcieCapReg);
@@ -173,7 +173,7 @@ TEST_F(RcFixture, PioResponseWithBusZeroGoesUpstream)
 
     // ... and the device's response (bus 0) exits upstream.
     pkt->makeResponse();
-    EXPECT_TRUE(rc->rootPortMaster(0).recvTimingResp(pkt));
+    EXPECT_TRUE(rc->downstreamMaster(0).recvTimingResp(pkt));
     sim.run();
     ASSERT_EQ(membus.responses.size(), 1u);
 }
@@ -222,4 +222,61 @@ TEST_F(RcFixture, UnclaimedAddressPanics)
                      MemCmd::ReadReq, 0x40000000, 4)),
                  PanicError);
     setLoggingThrows(false);
+}
+
+TEST_F(RcFixture, MemBusRetriedOnceWhenRootPortQueueFrees)
+{
+    programVp2p(0, 0x40000000, 0x401fffff, 1, 1);
+    linkReqSink[0].refuseRequests = 1000000;
+    sim.initialize();
+
+    // Fill root port 0's request queue (capacity 4) while its link
+    // refuses, so the next MemBus request is refused.
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_TRUE(membus.sendTimingReq(Packet::makeRequest(
+            MemCmd::ReadReq, 0x40000000 + 4 * i, 4)));
+    }
+    sim.run();
+    EXPECT_FALSE(membus.sendTimingReq(Packet::makeRequest(
+        MemCmd::ReadReq, 0x40000100, 4)));
+    EXPECT_EQ(membus.reqRetries, 0u);
+
+    // The link accepts again: the queue drains and the MemBus is
+    // retried exactly once.
+    linkReqSink[0].refuseRequests = 0;
+    linkReqSink[0].sendRetryReq();
+    sim.run();
+    EXPECT_EQ(linkReqSink[0].requests.size(), 4u);
+    EXPECT_EQ(membus.reqRetries, 1u);
+}
+
+TEST_F(RcFixture, IOCacheRetriedOnceWhenRootPortResponseQueueFrees)
+{
+    programVp2p(1, 0x40200000, 0x403fffff, 2, 2);
+    iocache.autoRespond = true;
+    linkRespSrc[1].refuseResponses = 1000000;
+    sim.initialize();
+
+    // Four DMA reads fill root port 1's response queue (capacity
+    // 4) while its link refuses responses.
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_TRUE(linkRespSrc[1].sendTimingReq(Packet::makeRequest(
+            MemCmd::ReadReq, 0x80001000 + 64 * i, 4)));
+    }
+    sim.run();
+    // The fifth read's response is refused at the full queue.
+    EXPECT_TRUE(linkRespSrc[1].sendTimingReq(Packet::makeRequest(
+        MemCmd::ReadReq, 0x80002000, 4)));
+    sim.run();
+    EXPECT_EQ(iocache.pendingResponses.size(), 1u);
+    EXPECT_EQ(iocache.respRetries, 0u);
+
+    // The link accepts again: the IOCache is retried exactly once
+    // and every response reaches the link.
+    linkRespSrc[1].refuseResponses = 0;
+    linkRespSrc[1].sendRetryResp();
+    sim.run();
+    EXPECT_EQ(iocache.respRetries, 1u);
+    EXPECT_TRUE(iocache.pendingResponses.empty());
+    EXPECT_EQ(linkRespSrc[1].responses.size(), 5u);
 }

@@ -60,8 +60,6 @@ engineCounters(const ParallelEngine &eng)
         c.push_back(eng.stallWindows(d));
         c.push_back(eng.mailboxSent(d));
         c.push_back(eng.mailboxReceived(d));
-        for (unsigned src = 0; src < n; ++src)
-            c.push_back(eng.mailboxPair(src, d));
     }
     return c;
 }

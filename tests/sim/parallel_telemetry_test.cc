@@ -98,9 +98,8 @@ TEST(ParallelTelemetryTest, RecordsWindowsEventsAndMailboxTraffic)
     EXPECT_EQ(sent, received);
     EXPECT_GT(eng.mailboxSent(0), 0u);
     EXPECT_GT(eng.mailboxSent(1), 0u);
-    EXPECT_EQ(eng.mailboxPair(0, 1) + eng.mailboxPair(1, 0), sent);
-    EXPECT_EQ(eng.hottestPeerOf(1).first, 0u);
-    EXPECT_GT(eng.hottestPeerOf(1).second, 0u);
+    EXPECT_GT(eng.mailboxReceived(0), 0u);
+    EXPECT_GT(eng.mailboxReceived(1), 0u);
 
     // Perfectly alternating load: imbalance stays near 1.
     EXPECT_GE(eng.loadImbalance(), 1.0);

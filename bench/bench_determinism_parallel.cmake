@@ -6,13 +6,19 @@
 # simulated history, never of the wall-clock interleaving of the
 # workers. --no-timing zeroes the wall-clock-derived fields;
 # --profile holds the profiler's exact per-event counts to the same
-# standard. Configurations that cannot be partitioned (faults, NAK)
-# fall back to the single-queue path on both sides, so the gate
-# also pins down that the fallback is taken identically.
+# standard. Fabrics that run on one queue (one device domain, or a
+# configuration such as faults or NAK that pins the links) take
+# the single-queue path on both sides, so the gate also pins down
+# that the choice is made identically.
 #
 # Invoked by ctest as:
 #   cmake -DBENCH_BIN=<bench> -DOUT_A=<file> -DOUT_B=<file> \
+#         [-DBENCH_ARGS=<arg;...>] [-DSTATS_ONLY=ON] \
 #         -P bench_determinism_parallel.cmake
+#
+# BENCH_ARGS is appended to the bench's command line. STATS_ONLY
+# compares only the stats.json exports, for a bench whose stdout
+# record reports the thread count itself (bench_fabric).
 
 if(NOT BENCH_BIN OR NOT OUT_A OR NOT OUT_B)
     message(FATAL_ERROR
@@ -28,7 +34,7 @@ foreach(pair "${OUT_A};${threads_a}" "${OUT_B};${threads_b}")
     execute_process(
         COMMAND "${BENCH_BIN}" --smoke --json --no-timing --profile
             "--threads" "${nthreads}"
-            "--stats-json=${out}.stats.json"
+            "--stats-json=${out}.stats.json" ${BENCH_ARGS}
         OUTPUT_FILE "${out}"
         RESULT_VARIABLE bench_rv
     )
@@ -39,7 +45,11 @@ foreach(pair "${OUT_A};${threads_a}" "${OUT_B};${threads_b}")
     endif()
 endforeach()
 
-foreach(suffix "" ".stats.json")
+set(suffixes "" ".stats.json")
+if(STATS_ONLY)
+    set(suffixes ".stats.json")
+endif()
+foreach(suffix ${suffixes})
     execute_process(
         COMMAND ${CMAKE_COMMAND} -E compare_files
             "${OUT_A}${suffix}" "${OUT_B}${suffix}"

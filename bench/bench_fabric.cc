@@ -254,8 +254,9 @@ runFabric(JsonEmitter &json, const std::string &label,
                         pt.windows, pt.loadImbalance, pt.mailboxOps,
                         sync);
         } else if (globalArgs().threads >= 1) {
-            std::printf("  partition: single-queue (partitioning "
-                        "unavailable for this configuration)\n");
+            std::printf("  partition: single-queue (one device "
+                        "domain, or a configuration that pins the "
+                        "links)\n");
         }
     }
 }

@@ -14,8 +14,9 @@
 #      dumps must exit 0
 #   7. asan-ubsan preset: build + tier-1 ctest (pool poisoning live)
 #   8. tsan preset: bench_kernel --threads 4 --smoke,
-#      bench_fig9a --smoke --threads 4 (the storage fabric's cut
-#      links, one wide window then unlocked inline ones),
+#      bench_fabric on multi_device.json at --threads 4 (five cut
+#      links on four workers; the storage fabric has one device
+#      domain and no longer builds an engine),
 #      bench_fabric on tree3.json at --threads 2 (seven link
 #      domains, so windows keep fanning out after the first and
 #      real links hand packets between locked and unlocked
@@ -90,10 +91,12 @@ ctest --test-dir build-asan -LE tier2 -j "$jobs" --output-on-failure
 echo "== [8/9] tsan bench smokes + parallel engine tests =="
 cmake --preset tsan >/dev/null
 cmake --build build-tsan -j "$jobs" --target bench_kernel \
-    bench_fig9a bench_fabric parallel_engine_test \
+    bench_fabric parallel_engine_test \
     parallel_telemetry_test parallel_determinism_test
 ./build-tsan/bench/bench_kernel --smoke --json >/dev/null
-./build-tsan/bench/bench_fig9a --smoke --threads 4 >/dev/null
+./build-tsan/bench/bench_fabric --smoke \
+    --topology=examples/topologies/multi_device.json --threads 4 \
+    >/dev/null
 ./build-tsan/bench/bench_fabric --smoke \
     --topology=examples/topologies/tree3.json --threads 2 >/dev/null
 ./build-tsan/tests/parallel_engine_test

@@ -12,6 +12,7 @@ namespace pciesim
 
 using trace::Flag;
 
+#if PCIESIM_TRACING
 namespace
 {
 
@@ -26,6 +27,7 @@ pktLabel(const PciePkt &pkt)
 }
 
 } // namespace
+#endif
 
 //
 // UnidirectionalLink

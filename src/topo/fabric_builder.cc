@@ -747,52 +747,65 @@ Fabric::buildDevice(Node &n)
     }
 }
 
+bool
+Fabric::choosePartition() const
+{
+    const SystemConfig &config = desc_.config;
+    if (config.threads == 0)
+        return false;
+
+    // Device domains: one per endpoint, except that NICs sharing an
+    // Ethernet wire share one. With fewer than two, all device work
+    // sits in one domain and nothing can overlap: every window runs
+    // inline, so the engine adds only cost. Event keys do not depend
+    // on the partition (DESIGN.md Sec. 10), so this choice changes
+    // only wall time and is not warned.
+    unsigned device_domains = 0;
+    for (const Node &n : nodes_) {
+        if (n.kind != Kind::Switch &&
+            (n.kind != Kind::Nic || n.wirePort == 0))
+            ++device_domains;
+    }
+    if (device_domains < 2)
+        return false;
+
+    // A model that reaches into a link's far interface or across
+    // the fabric synchronously (a CRC kill, a retrain, an error
+    // message, a stats sample) pins the fabric to one queue
+    // (DESIGN.md Sec. 10).
+    const bool link_faults =
+        config.linkBitErrorRate > 0.0 ||
+        std::any_of(nodes_.begin(), nodes_.end(), [](const Node &n) {
+            return n.linkParams.faults.bitErrorRate > 0.0;
+        });
+    const char *pin =
+        link_faults ? "link fault injection (BER > 0)"
+        : config.enableNak ? "NAK protocol emulation"
+        : config.aerEnabled ? "AER error reporting"
+        : config.degradeThreshold > 0 ? "link degradation"
+        : config.unplugAtChunk > 0 ? "scripted surprise hot-unplug"
+        : config.statsSampleInterval > 0 ? "periodic stats sampling"
+        : config.statsDumpInterval > 0 ? "periodic stats dump epochs"
+        : nullptr;
+    if (pin == nullptr)
+        return true;
+    warn("fabric: --threads requested but ", pin,
+         " pins the fabric to one event-queue domain; "
+         "running single-queue");
+    return false;
+}
+
 void
 Fabric::buildPcie()
 {
     const SystemConfig &config = desc_.config;
-
-    // Parallel partitioning (DESIGN.md Sec. 10): cut the fabric at
-    // its links when requested and safe. Event keys do not depend
-    // on the partition, so threads == 0 (one queue), threads == 1
-    // (the one-worker engine) and any other count simulate the
-    // same history; the thread count changes only wall time.
-    const bool link_faults =
-        std::any_of(nodes_.begin(), nodes_.end(), [](const Node &n) {
-            return n.linkParams.faults.bitErrorRate > 0.0;
-        });
-    const bool want_parallel = config.threads >= 1;
-    const bool parallel = want_parallel && !nodes_.empty() &&
-                          linksCuttable(config) && !link_faults &&
-                          config.statsSampleInterval == 0 &&
-                          config.statsDumpInterval == 0;
-    if (want_parallel && !parallel) {
-        const char *reason =
-            nodes_.empty() ? "an empty fabric (no links to cut)"
-            : link_faults ? "link fault injection (BER > 0)"
-            : config.enableNak ? "NAK protocol emulation"
-            : config.aerEnabled ? "AER error reporting"
-            : config.degradeThreshold > 0 ? "link degradation"
-            : config.unplugAtChunk > 0
-                ? "scripted surprise hot-unplug"
-            : config.statsSampleInterval > 0
-                ? "periodic stats sampling"
-                : "periodic stats dump epochs";
-        warn("fabric: --threads requested but ", reason,
-             " pins the fabric to one event-queue domain; "
-             "running single-queue");
-    }
-
-    Tick quantum = nodes_.empty() ? 0 : maxTick;
-    for (const Node &n : nodes_)
-        quantum = std::min(quantum, linkLookahead(n.linkParams));
 
     // Domain assignment, in declaration order: one domain per
     // switch or endpoint; NICs sharing an Ethernet wire share one
     // domain (the wire models no latency, so they cannot be cut
     // apart), named after the wire group. Domain 0 is the host
     // side.
-    partitioned_ = parallel;
+    partitioned_ = choosePartition();
     std::vector<unsigned> wire_domains;
     for (Node &n : nodes_) {
         if (!partitioned_)
@@ -894,14 +907,17 @@ Fabric::buildPcie()
     registerTree();
 
     // Hand each link interface to its domain's queue and attach
-    // the quantum-synchronized engine.
+    // the quantum-synchronized engine; the quantum is the minimum
+    // lookahead over the cut links.
     if (partitioned_) {
+        Tick quantum = maxTick;
         for (Node &n : nodes_) {
             unsigned up_dom = n.parentIndex < 0
                                   ? 0
                                   : nodes_[n.parentIndex].domain;
             n.link->setDomains(sim_.domainQueue(up_dom),
                                sim_.domainQueue(n.domain));
+            quantum = std::min(quantum, linkLookahead(n.linkParams));
         }
         sim_.setupParallel(config.threads, quantum);
     }
@@ -1086,13 +1102,9 @@ Fabric::buildLegacyIo()
 {
     const SystemConfig &config = desc_.config;
 
-    // The flat baseline has no point-to-point links, so there is
-    // no lookahead to cut domains on; parallel mode degenerates to
-    // the single-queue core.
-    if (config.threads > 1) {
-        warn("fabric: no links to partition into domains; "
-             "running single-queue");
-    }
+    // The flat baseline has one device domain, its disk, so like
+    // any such fabric it runs on one queue at every thread count
+    // (see choosePartition()).
 
     iobus_ = std::make_unique<XBar>(sim_, "system.iobus",
                                     config.membus);

@@ -233,7 +233,7 @@ class Fabric
     /** @} */
 
     /** Whether buildPcie() cut the fabric into link domains
-     *  (--threads honored; see sim().numDomains() / engine() for
+     *  (see choosePartition(); sim().numDomains() / engine() give
      *  the partition itself). */
     bool partitioned() const { return partitioned_; }
 
@@ -281,6 +281,11 @@ class Fabric
                                const std::string &what);
     void validate();
     void buildHost();
+    /** Whether buildPcie() cuts the fabric into link domains
+     *  (DESIGN.md Sec. 10): at threads >= 1, when at least two
+     *  device domains could overlap and no configuration pins the
+     *  links (warned). */
+    bool choosePartition() const;
     void buildPcie();
     void buildLegacyIo();
     void buildDevice(Node &n);

@@ -198,23 +198,6 @@ linkLookahead(const PcieLinkParams &lp)
            lp.propagationDelay;
 }
 
-/**
- * Whether the configured links may be cut into separate event-queue
- * domains. Fault injection and NAK recovery retrain the link, which
- * manipulates both interfaces atomically, so those configurations
- * must keep each link inside one domain (and the topologies fall
- * back to the single-queue core). The error-containment features
- * pin the fabric too: AER error sinks, degradation retrains, and
- * the unplug script all reach across link endpoints.
- */
-inline bool
-linksCuttable(const SystemConfig &c)
-{
-    return c.linkBitErrorRate == 0.0 && !c.enableNak &&
-           !c.aerEnabled && c.degradeThreshold == 0 &&
-           c.unplugAtChunk == 0;
-}
-
 } // namespace pciesim
 
 #endif // PCIESIM_TOPO_SYSTEM_CONFIG_HH

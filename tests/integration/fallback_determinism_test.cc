@@ -4,9 +4,12 @@
  * configurations pin the fabric to one event-queue domain, so
  * `--threads N` must construct and run the exact system `threads=0`
  * does — byte-identical stats, not merely equivalent ones. Guards
- * the builder's warn-once fallback path, exercised on
- * examples/topologies/storage.json, against quietly drifting from
- * the single-queue construction.
+ * the builder's warn-once fallback path against quietly drifting
+ * from the single-queue construction. It is exercised on
+ * examples/topologies/storage.json with an idle traffic generator
+ * beside the disk: the storage fabric alone has one device domain
+ * and runs on one queue whatever its configuration, so it would not
+ * reach the fallback.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +31,11 @@ runOnce(SystemConfig cfg, unsigned threads)
     cfg.threads = threads;
     Simulation sim;
     FabricDesc desc = loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+    FabricNodeDesc tgen = desc.nodes.back();
+    tgen.name = "tgen";
+    tgen.kind = "traffic_gen";
+    tgen.link.name = "tgenLink";
+    desc.nodes.push_back(tgen);
     desc.config = cfg;
     Fabric system(sim, desc);
     DdWorkloadParams dd;

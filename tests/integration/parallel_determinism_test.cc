@@ -10,9 +10,13 @@
  * interleaved the workers.
  *
  * The gate covers every example topology with its bench_fabric
- * --topology workload, plus an eight-generator multi-device
- * fabric. Between one worker and four, even the engine block must
- * match, which the original 1-vs-4 case still asserts. The
+ * --topology workload, an eight-generator multi-device fabric and
+ * a four-NIC fabric on two Ethernet wires. Fabrics whose device
+ * work sits in one domain run on one queue at every thread count
+ * (DESIGN.md Sec. 10), so the multi-endpoint cases are the ones
+ * that run the engine. Between one worker and four, even the
+ * engine block must match, which the original 1-vs-4 case still
+ * asserts. The
  * bench-level tier-2 gates check the same property over full JSON
  * exports; this in-process version runs in the tier-1 suite and
  * points at the first divergent stats line when it breaks.
@@ -126,6 +130,52 @@ topologyRun(const std::string &file, unsigned threads)
     return r;
 }
 
+/** Four NICs, two per Ethernet wire: two device domains, so the
+ *  fabric runs under the engine at t1 and t4. wireA's NICs signal
+ *  with MSI (in-band message TLPs through the fabric), wireB's with
+ *  INTx (a cross-domain callAt into the host domain). */
+FabricDesc
+twoWireNicDesc()
+{
+    const std::string text = R"({"nodes": [
+        {"name": "nicA", "kind": "nic", "count": 2, "wire": "wireA",
+         "allow_msi": true, "link": {"name": "nicLinkA", "width": 1}},
+        {"name": "nicB", "kind": "nic", "count": 2, "wire": "wireB",
+         "link": {"name": "nicLinkB", "width": 1}}]})";
+    FabricDesc desc = parseFabricDesc(
+        topo::parseJson(text, "<two_wire_nic>"), "<two_wire_nic>");
+    desc.nicDriver.preferMsi = true;
+    return desc;
+}
+
+/** One two-wire NIC run: every NIC sends a frame to its wire peer. */
+RunResult
+twoWireNicRun(unsigned threads)
+{
+    FabricDesc desc = twoWireNicDesc();
+    desc.config.threads = threads;
+    Simulation sim;
+    Fabric fabric(sim, desc);
+    fabric.boot();
+    unsigned received = 0;
+    unsigned sent = 0;
+    for (unsigned i = 0; i < fabric.numNics(); ++i) {
+        fabric.nicDriver(i).setOnReceive([&](unsigned) { ++received; });
+        fabric.nicDriver(i).sendFrame(512 + 64 * i, [&] { ++sent; });
+    }
+    sim.run();
+    EXPECT_EQ(sent, 4u);
+    EXPECT_EQ(received, 4u);
+    EXPECT_TRUE(fabric.nicDriver(0).usingMsi());
+    EXPECT_TRUE(fabric.nicDriver(2).usingLegacyIrq());
+    EXPECT_GE(fabric.gic().msisReceived(), 2u);
+    RunResult r;
+    r.endTick = sim.curTick();
+    r.partitioned = fabric.partitioned();
+    r.stats = dumpStats(sim, false);
+    return r;
+}
+
 /** First-divergent-line comparison (EXPECT_EQ's diff is quadratic
  *  on dumps this size). */
 void
@@ -202,11 +252,25 @@ TEST_P(TopologyDeterminism, SingleQueueMatchesEngine)
     RunResult t1 = topologyRun(file, 1);
     RunResult t4 = topologyRun(file, 4);
 
-    // Every topology but the link-less legacy-io baseline is cut
-    // into domains, so the engine really ran.
+    // Only the fabrics with two or more device domains are cut
+    // into domains; the rest run on one queue at every count.
+    const bool multi_domain =
+        file == "multi_device.json" || file == "tree3.json";
     EXPECT_FALSE(t0.partitioned);
-    EXPECT_EQ(t4.partitioned, file != "baseline.json");
+    EXPECT_EQ(t1.partitioned, multi_domain);
+    EXPECT_EQ(t4.partitioned, multi_domain);
     EXPECT_GT(t0.endTick, 0u);
+    expectOneSemantics(t0, t1, t4);
+}
+
+TEST(ParallelDeterminism, TwoWireNicSingleQueueMatchesEngine)
+{
+    RunResult t0 = twoWireNicRun(0);
+    RunResult t1 = twoWireNicRun(1);
+    RunResult t4 = twoWireNicRun(4);
+    EXPECT_FALSE(t0.partitioned);
+    EXPECT_TRUE(t1.partitioned);
+    EXPECT_TRUE(t4.partitioned);
     expectOneSemantics(t0, t1, t4);
 }
 

@@ -13,12 +13,13 @@
 #
 # Invoked by ctest as:
 #   cmake -DBENCH_BIN=<bench> -DOUT_A=<file> -DOUT_B=<file> \
-#         [-DBENCH_ARGS=<arg;...>] [-DSTATS_ONLY=ON] \
+#         [-DBENCH_ARGS=<arg;...>] [-DMASK_THREADS=ON] \
 #         -P bench_determinism_parallel.cmake
 #
-# BENCH_ARGS is appended to the bench's command line. STATS_ONLY
-# compares only the stats.json exports, for a bench whose stdout
-# record reports the thread count itself (bench_fabric).
+# BENCH_ARGS is appended to the bench's command line. MASK_THREADS
+# compares the stdout records with their "threads" field removed,
+# for a bench whose records report the thread count itself
+# (bench_fabric).
 
 if(NOT BENCH_BIN OR NOT OUT_A OR NOT OUT_B)
     message(FATAL_ERROR
@@ -45,11 +46,16 @@ foreach(pair "${OUT_A};${threads_a}" "${OUT_B};${threads_b}")
     endif()
 endforeach()
 
-set(suffixes "" ".stats.json")
-if(STATS_ONLY)
-    set(suffixes ".stats.json")
+if(MASK_THREADS)
+    foreach(out "${OUT_A}" "${OUT_B}")
+        file(READ "${out}" records)
+        string(REGEX REPLACE "\"threads\": [0-9.]+, " "" records
+            "${records}")
+        file(WRITE "${out}" "${records}")
+    endforeach()
 endif()
-foreach(suffix ${suffixes})
+
+foreach(suffix "" ".stats.json")
     execute_process(
         COMMAND ${CMAKE_COMMAND} -E compare_files
             "${OUT_A}${suffix}" "${OUT_B}${suffix}"

@@ -12,8 +12,11 @@
 #      bench-level byte-identical-JSON ctests (stats.json included)
 #   6. pciesim-report self-smoke: a diff of identical stats.json
 #      dumps must exit 0
-#   7. asan-ubsan preset: build + tier-1 ctest (pool poisoning live)
-#   8. tsan preset: bench_kernel --threads 4 --smoke,
+#   7. perfbench traced run: python3 perfbench/run.py --seconds 2
+#      --trace 1 must exit 0, i.e. every workload correct with its
+#      profiled event time attributed and within 110% of run_s
+#   8. asan-ubsan preset: build + tier-1 ctest (pool poisoning live)
+#   9. tsan preset: bench_kernel --threads 4 --smoke,
 #      bench_fabric on multi_device.json at --threads 4 (five cut
 #      links on four workers; the storage fabric has one device
 #      domain and no longer builds an engine),
@@ -25,7 +28,7 @@
 #      the t0/t1/t4 determinism gate (its t4 legs send keyed
 #      deliveries over every cut wire at once) under
 #      ThreadSanitizer (the engine's data-race gate)
-#   9. profiler overhead gate: the default build (profiler compiled
+#  10. profiler overhead gate: the default build (profiler compiled
 #      in, disabled; parallel flight recorder live) within 5% of
 #      the notrace build (hook and recorder removed) — bench_fig9a
 #      for the event core, bench_kernel for the telemetry-on
@@ -49,22 +52,22 @@ done
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-echo "== [1/9] gem5_lint =="
+echo "== [1/10] gem5_lint =="
 python3 tools/gem5_lint.py src bench tests
 
-echo "== [2/9] pciesim_analyze (semantic checks + fixtures) =="
+echo "== [2/10] pciesim_analyze (semantic checks + fixtures) =="
 python3 tools/pciesim_analyze.py --tree src
 python3 tools/analyze_fixtures_test.py
 
-echo "== [3/9] clang-tidy (run-tidy) =="
+echo "== [3/10] clang-tidy (run-tidy) =="
 cmake --preset default >/dev/null
 cmake --build build --target run-tidy -j "$jobs"
 
-echo "== [4/9] default build + tier-1 ctest (incl. golden stats) =="
+echo "== [4/10] default build + tier-1 ctest (incl. golden stats) =="
 cmake --build build -j "$jobs"
 ctest --test-dir build -LE tier2 -j "$jobs" --output-on-failure
 
-echo "== [5/9] determinism gates =="
+echo "== [5/10] determinism gates =="
 ctest --test-dir build -R 'determinism' -j "$jobs" \
     --output-on-failure
 # Resilience gate: the error-containment smoke (degradation ladder
@@ -77,18 +80,21 @@ ctest --test-dir build -R 'bench_smoke_bench_resilience' \
 ctest --test-dir build -R 'fabric_smoke' \
     -j "$jobs" --output-on-failure
 
-echo "== [6/9] pciesim-report diff self-smoke =="
+echo "== [6/10] pciesim-report diff self-smoke =="
 ./build/bench/bench_fig9a --smoke --json --no-timing \
     --stats-json=build/check_stats.json >/dev/null
 ./build/tools/pciesim-report diff build/check_stats.json \
     build/check_stats.json
 
-echo "== [7/9] asan-ubsan build + tier-1 ctest =="
+echo "== [7/10] perfbench traced run =="
+python3 perfbench/run.py --seconds 2 --trace 1
+
+echo "== [8/10] asan-ubsan build + tier-1 ctest =="
 cmake --preset asan-ubsan >/dev/null
 cmake --build build-asan -j "$jobs"
 ctest --test-dir build-asan -LE tier2 -j "$jobs" --output-on-failure
 
-echo "== [8/9] tsan bench smokes + parallel engine tests =="
+echo "== [9/10] tsan bench smokes + parallel engine tests =="
 cmake --preset tsan >/dev/null
 cmake --build build-tsan -j "$jobs" --target bench_kernel \
     bench_fabric parallel_engine_test \
@@ -103,7 +109,7 @@ cmake --build build-tsan -j "$jobs" --target bench_kernel \
 ./build-tsan/tests/parallel_telemetry_test
 ./build-tsan/tests/parallel_determinism_test
 
-echo "== [9/9] profiler overhead gate (vs notrace) =="
+echo "== [10/10] profiler overhead gate (vs notrace) =="
 cmake --preset notrace >/dev/null
 scripts/profiler_overhead_gate.sh
 

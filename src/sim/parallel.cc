@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "event.hh"
@@ -70,6 +71,16 @@ cpuRelax()
 #if defined(__x86_64__) || defined(__i386__)
     __builtin_ia32_pause();
 #endif
+}
+
+/** The posting domain's queue: the calling worker's current one. */
+EventQueue &
+sourceQueue()
+{
+    EventQueue *src = par::currentQueue();
+    panicIf(src == nullptr,
+            "cross-domain post from outside a worker window");
+    return *src;
 }
 
 /**
@@ -153,7 +164,7 @@ ParallelEngine::ParallelEngine(std::vector<EventQueue *> queues,
       quantum_(quantum),
       threads_(std::min<unsigned>(std::max(threads, 1u),
                                   queues_.size())),
-      mail_(queues_.size() * queues_.size())
+      outbox_(queues_.size())
 {
     panicIf(quantum_ == 0, "parallel engine needs a nonzero quantum");
     panicIf(queues_.size() < 2,
@@ -178,21 +189,14 @@ ParallelEngine::ParallelEngine(std::vector<EventQueue *> queues,
     }
 }
 
-std::vector<ParallelEngine::Op> &
-ParallelEngine::outbox(EventQueue &dst)
-{
-    EventQueue *src = par::currentQueue();
-    panicIf(src == nullptr,
-            "cross-domain post from outside a worker window");
-    return mail_[src->domainId() * queues_.size() + dst.domainId()];
-}
-
 void
 ParallelEngine::postSchedule(EventQueue &dst, Event &event, Tick when)
 {
-    EventQueue *src = par::currentQueue();
-    outbox(dst).push_back({Op::Kind::schedule, &event, when,
-                           src->curTick(), src->nextTie(), nullptr});
+    EventQueue &src = sourceQueue();
+    outbox_[src.domainId()].push_back({Op::Kind::schedule,
+                                       dst.domainId(), &event, when,
+                                       src.curTick(), src.nextTie(),
+                                       nullptr});
 }
 
 void
@@ -200,82 +204,96 @@ ParallelEngine::postScheduleEarliest(EventQueue &dst, Event &event,
                                      Tick when, Tick key_order,
                                      std::uint64_t key_tie)
 {
-    outbox(dst).push_back({Op::Kind::scheduleEarliest, &event, when,
-                           key_order, key_tie, nullptr});
+    outbox_[sourceQueue().domainId()].push_back(
+        {Op::Kind::scheduleEarliest, dst.domainId(), &event, when,
+         key_order, key_tie, nullptr});
 }
 
 void
 ParallelEngine::postDeschedule(EventQueue &dst, Event &event)
 {
-    outbox(dst).push_back({Op::Kind::deschedule, &event, 0, 0, 0,
-                           nullptr});
+    outbox_[sourceQueue().domainId()].push_back(
+        {Op::Kind::deschedule, dst.domainId(), &event, 0, 0, 0,
+         nullptr});
 }
 
 void
 ParallelEngine::postCall(EventQueue &dst, Tick when,
                          std::function<void()> fn)
 {
-    EventQueue *src = par::currentQueue();
-    outbox(dst).push_back({Op::Kind::call, nullptr, when,
-                           src->curTick(), src->nextTie(),
-                           std::move(fn)});
+    EventQueue &src = sourceQueue();
+    outbox_[src.domainId()].push_back({Op::Kind::call, dst.domainId(),
+                                       nullptr, when, src.curTick(),
+                                       src.nextTie(), std::move(fn)});
 }
 
 void
 ParallelEngine::applyMailboxes()
 {
-    const std::size_t n = queues_.size();
-    for (std::size_t dst = 0; dst < n; ++dst) {
-        EventQueue &q = *queues_[dst];
-        for (std::size_t src = 0; src < n; ++src) {
-            auto &box = mail_[src * n + dst];
+    // Gather the window's posts: one scan over the outboxes, then
+    // work in the number of posts, never a pass over domain pairs.
+    posts_.clear();
+    for (unsigned src = 0; src < outbox_.size(); ++src) {
+        const std::vector<Op> &box = outbox_[src];
+        if (box.empty())
+            continue;
 #if PCIESIM_PROFILING
-            // Mailbox telemetry rides the drain the barrier already
-            // pays for: one size() per non-empty box, nothing on
-            // the per-post hot path. Deterministic (simulated
-            // history only), so safe in 1-vs-N byte-identical dumps.
-            if (!box.empty()) {
-                const std::uint64_t ops = box.size();
-                mailboxSent_[src] += ops;
-                mailboxReceived_[dst] += ops;
-            }
+        // Mailbox telemetry rides the drain the barrier already
+        // pays for, nothing on the per-post hot path.
+        // Deterministic (simulated history only), so safe in
+        // 1-vs-N byte-identical dumps.
+        mailboxSent_[src] += box.size();
 #endif
-            for (Op &op : box) {
-                if (op.kind == Op::Kind::deschedule) {
-                    // Tolerant: the event may have fired (or been
-                    // pulled earlier and fired) since the post.
-                    if (op.event->scheduled())
-                        q.deschedule(op.event);
-                    continue;
-                }
-                // The conservative guarantee: anything posted
-                // during the window that just completed lands at
-                // or beyond its end (post tick + quantum >= end).
-                PCIESIM_AUDIT(op.when >= windowEnd_,
-                              "cross-domain event lands at ", op.when,
-                              " inside the window ending at ",
-                              windowEnd_,
-                              " (link latency below the quantum?)");
-                switch (op.kind) {
-                  case Op::Kind::schedule:
-                    q.scheduleKeyed(op.event, op.when, op.keyOrder,
+        for (std::uint32_t i = 0; i < box.size(); ++i)
+            posts_.push_back({box[i].dst, src, i});
+    }
+    // Apply in (dest, source, FIFO) order: a pure function of
+    // simulated history, whichever worker posted first.
+    std::sort(posts_.begin(), posts_.end(),
+              [](const Post &a, const Post &b) {
+                  return std::tie(a.dst, a.src, a.index) <
+                         std::tie(b.dst, b.src, b.index);
+              });
+
+    for (const Post &p : posts_) {
+        Op &op = outbox_[p.src][p.index];
+        EventQueue &q = *queues_[p.dst];
+#if PCIESIM_PROFILING
+        ++mailboxReceived_[p.dst];
+#endif
+        if (op.kind == Op::Kind::deschedule) {
+            // Tolerant: the event may have fired (or been pulled
+            // earlier and fired) since the post.
+            if (op.event->scheduled())
+                q.deschedule(op.event);
+            continue;
+        }
+        // The conservative guarantee: anything posted during the
+        // window that just completed lands at or beyond its end
+        // (post tick + quantum >= end).
+        PCIESIM_AUDIT(op.when >= windowEnd_,
+                      "cross-domain event lands at ", op.when,
+                      " inside the window ending at ", windowEnd_,
+                      " (link latency below the quantum?)");
+        switch (op.kind) {
+          case Op::Kind::schedule:
+            q.scheduleKeyed(op.event, op.when, op.keyOrder,
+                            op.keyTie);
+            break;
+          case Op::Kind::scheduleEarliest:
+            q.scheduleEarliestKeyed(op.event, op.when, op.keyOrder,
                                     op.keyTie);
-                    break;
-                  case Op::Kind::scheduleEarliest:
-                    q.scheduleEarliestKeyed(op.event, op.when,
-                                            op.keyOrder, op.keyTie);
-                    break;
-                  case Op::Kind::call:
-                    q.scheduleKeyed(new OneShotEvent(std::move(op.fn)),
-                                    op.when, op.keyOrder, op.keyTie);
-                    break;
-                  default:
-                    break;
-                }
-            }
-            box.clear();
+            break;
+          case Op::Kind::call:
+            q.scheduleKeyed(new OneShotEvent(std::move(op.fn)),
+                            op.when, op.keyOrder, op.keyTie);
+            break;
+          default:
+            break;
         }
     }
+    for (std::vector<Op> &box : outbox_)
+        box.clear();
 }
 
 void

@@ -11,16 +11,18 @@
  * each other's state mid-window, so each one runs lock-free on its
  * own worker thread.
  *
- * Cross-domain scheduling goes through per-(source, destination)
- * mailboxes: the source worker appends operations during its window
- * (it is the only writer of that vector) and a single thread drains
- * all mailboxes inside the barrier's completion step, in (dest,
- * source, FIFO) order, before the next window is computed. The
- * composite ordering key for each operation is computed at post
- * time on the sending domain, so heap order on the destination is a
- * pure function of simulated history — identical for any thread
- * count (the determinism contract enforced by the tier-2 parallel
- * gate).
+ * Cross-domain scheduling goes through one outbox per source
+ * domain: the source's worker appends operations, each tagged with
+ * its destination, during its window (it is the only writer of that
+ * vector). A single thread drains them inside the barrier's
+ * completion step: it gathers the window's posts, sorts them into
+ * (dest, source, FIFO) order and applies them before the next window
+ * is computed, so the drain's cost grows with the posts, not with
+ * the domain pairs. The composite ordering key for each operation is
+ * computed at post time on the sending domain, so heap order on the
+ * destination is a pure function of simulated history — identical
+ * for any thread count (the determinism contract enforced by the
+ * tier-2 parallel gate).
  */
 
 #ifndef PCIESIM_SIM_PARALLEL_HH
@@ -160,6 +162,8 @@ class ParallelEngine
         };
 
         Kind kind;
+        /** Destination domain id. */
+        unsigned dst;
         Event *event;
         Tick when;
         Tick keyOrder;
@@ -167,7 +171,15 @@ class ParallelEngine
         std::function<void()> fn;
     };
 
-    std::vector<Op> &outbox(EventQueue &dst);
+    /** Where one drained operation sits: outbox_[src][index],
+     *  bound for domain dst. */
+    struct Post
+    {
+        unsigned dst;
+        unsigned src;
+        std::uint32_t index;
+    };
+
     void applyMailboxes();
     void computeWindow(Tick max_tick);
     void enterDomain(unsigned d);
@@ -188,10 +200,13 @@ class ParallelEngine
     const Tick quantum_;
     const unsigned threads_;
 
-    /** mail_[src * numDomains + dst]; src's worker is the only
-     *  writer during a window, the barrier completion the only
-     *  reader — the barrier itself provides the ordering. */
-    std::vector<std::vector<Op>> mail_;
+    /** outbox_[src]: the operations domain src posted this
+     *  window. src's worker is the only writer during a window, the
+     *  barrier completion the only reader — the barrier itself
+     *  provides the ordering. */
+    std::vector<std::vector<Op>> outbox_;
+    /** The drain's sort buffer, kept to reuse its capacity. */
+    std::vector<Post> posts_;
 
     Tick windowStart_ = 0;
     Tick windowEnd_ = 0;

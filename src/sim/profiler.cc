@@ -10,6 +10,7 @@
 
 #include "event.hh"
 #include "logging.hh"
+#include "rng.hh"
 
 namespace pciesim::prof
 {
@@ -25,7 +26,43 @@ struct Rec
     std::uint64_t count = 0;
     std::uint64_t sampled = 0;
     std::uint64_t sampledNs = 0;
+    std::uint64_t firstNs = 0;
+    /** The invocation index timed next. */
+    std::uint64_t nextTimed = 0;
+    /** Draws the gaps between timed invocations; seeded from the
+     *  name at its first call. */
+    Rng gaps{0};
 };
+
+/** FNV-1a of @p name's characters: a gap seed that depends on the
+ *  name alone, never on where it is interned or which domain or
+ *  thread runs it. */
+std::uint64_t
+nameSeed(const char *name)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char *c = name ? name : ""; *c != '\0'; ++c)
+        h = (h ^ static_cast<unsigned char>(*c)) * 0x100000001b3ULL;
+    return h;
+}
+
+/** The host clock in ns: steady_clock unless a test swapped it. */
+std::uint64_t
+steadyNs()
+{
+    // pciesim-analyze: ignore[wall-clock]: the profiler's host-time
+    // subsample; it never feeds simulated time, and stats dumps
+    // zero it under setReportTimes(false).
+    const auto now = std::chrono::steady_clock::now();
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            now.time_since_epoch())
+            .count());
+}
+
+// pciesim-analyze: single-threaded: set by tests before any
+// profiled run, read-only while events run.
+ClockFn clockFn = steadyNs;
 
 struct State
 {
@@ -84,6 +121,8 @@ mergedSpots()
             h.count += r.count;
             h.sampled += r.sampled;
             h.sampledNs += state().reportTimes ? r.sampledNs : 0;
+            ++h.firstCalls;
+            h.firstNs += state().reportTimes ? r.firstNs : 0;
         }
     });
     std::vector<HotSpot> out;
@@ -108,20 +147,21 @@ mergedSpots()
 double
 HotSpot::estMs() const
 {
-    if (sampled == 0)
-        return 0.0;
-    double scale = static_cast<double>(count) /
-                   static_cast<double>(sampled);
-    return static_cast<double>(sampledNs) * scale / 1e6;
+    double ns = static_cast<double>(firstNs);
+    if (sampled != 0) {
+        ns += static_cast<double>(sampledNs) *
+              static_cast<double>(count - firstCalls) /
+              static_cast<double>(sampled);
+    }
+    return ns / 1e6;
 }
 
 double
 HotSpot::avgNs() const
 {
-    if (sampled == 0)
+    if (count == 0)
         return 0.0;
-    return static_cast<double>(sampledNs) /
-           static_cast<double>(sampled);
+    return estMs() * 1e6 / static_cast<double>(count);
 }
 
 void
@@ -140,6 +180,12 @@ setSamplePeriod(std::uint64_t period)
 {
     fatalIf(period == 0, "profiler sample period must be >= 1");
     forEachState([&](State &st) { st.samplePeriod = period; });
+}
+
+void
+setClock(ClockFn fn)
+{
+    clockFn = fn ? fn : steadyNs;
 }
 
 void
@@ -229,6 +275,8 @@ byOwner()
         o.count += h.count;
         o.sampled += h.sampled;
         o.sampledNs += h.sampledNs;
+        o.firstCalls += h.firstCalls;
+        o.firstNs += h.firstNs;
     }
     std::vector<HotSpot> out;
     out.reserve(owners.size());
@@ -300,41 +348,45 @@ writeJson(std::ostream &os, std::size_t top_n)
 void
 profileProcess(Event *event)
 {
-    // pciesim-analyze: ignore[wall-clock]: sanctioned 1-in-N host
-    // time subsample; it never feeds simulated time, and stats
-    // dumps zero it under setReportTimes(false) so the
-    // determinism gates stay byte-identical.
-    using Clock = std::chrono::steady_clock;
     State &st = tlsState ? *tlsState : state();
     const char *name = event->name();
 
-    // Decide 1-in-N timing from the pre-increment count, but defer
-    // the map update until after process(): a nested run() (or any
-    // reentrant profiling) could rehash the table under a held
-    // reference.
+    // Decide whether to time from the pre-increment count, but
+    // defer the map update until after process(): a nested run()
+    // (or any reentrant profiling) could rehash the table under a
+    // held reference. The first call is always timed.
     auto it = st.recs.find(name);
-    std::uint64_t cnt = it == st.recs.end() ? 0 : it->second.count;
-    bool timed = cnt % st.samplePeriod == 0;
+    const bool timed = it == st.recs.end() ||
+                       it->second.count == it->second.nextTimed;
 
     std::uint64_t ns = 0;
     if (timed) {
-        Clock::time_point t0 = Clock::now();
+        const std::uint64_t t0 = clockFn();
         event->process();
-        ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - t0)
-                .count());
+        ns = clockFn() - t0;
     } else {
         event->process();
     }
 
     Rec &r = st.recs[name];
+    if (timed) {
+        // The first call is the name's coldest (cache misses, lazy
+        // set-up), so it is kept apart at weight 1; only the later
+        // timed calls are scaled up to the later count. Their
+        // positions follow random gaps of mean samplePeriod, so a
+        // cost that repeats with the period cannot alias onto them.
+        if (r.count == 0) {
+            r.firstNs = ns;
+            r.gaps = Rng(nameSeed(name));
+        } else {
+            ++r.sampled;
+            r.sampledNs += ns;
+        }
+        r.nextTimed =
+            r.count + 1 + r.gaps.next() % (2 * st.samplePeriod - 1);
+    }
     ++r.count;
     ++st.total;
-    if (timed) {
-        ++r.sampled;
-        r.sampledNs += ns;
-    }
 }
 
 } // namespace pciesim::prof

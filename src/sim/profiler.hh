@@ -8,9 +8,14 @@
  * MGSim's built-in per-component profiling. EventQueue::step()
  * attributes every serviced event to its interned name (and, by the
  * "owner.event" naming convention, to its owning SimObject), counting
- * all of them and timing a deterministic 1-in-N subsample with
- * steady_clock to bound overhead. Total per-name host time is then
- * estimated by scaling the sampled time by count/sampled.
+ * all of them and timing a subsample with steady_clock to bound
+ * overhead. Per name, the first call is always timed and kept apart
+ * at weight 1 (it is the coldest); the later calls are timed at
+ * random gaps of mean N, drawn from a generator seeded by the
+ * name's characters, so the subsample is deterministic and cannot
+ * alias onto costs that repeat with the period. Total per-name host
+ * time is then estimated as the first call's time plus the sampled
+ * time scaled by (count - 1)/sampled.
  *
  * Like tracing, the whole layer compiles out of the hot path under
  * PCIESIM_PROFILING=0 (the notrace preset); with it compiled in but
@@ -57,10 +62,16 @@ struct HotSpot
 {
     std::string name;        ///< interned event name ("owner.event")
     std::uint64_t count;     ///< exact number of invocations
-    std::uint64_t sampled;   ///< invocations actually timed
-    std::uint64_t sampledNs; ///< wall ns across timed invocations
+    /** Later invocations timed: first calls are not among them. */
+    std::uint64_t sampled;
+    std::uint64_t sampledNs; ///< wall ns across those timed calls
+    /** First calls merged in here: one per name per accumulator
+     *  (domain), each timed apart and counted at weight 1. */
+    std::uint64_t firstCalls = 0;
+    std::uint64_t firstNs = 0; ///< wall ns across the first calls
 
-    /** Estimated total host ms: sampled time scaled to all calls. */
+    /** Estimated total host ms: the first calls' time plus the
+     *  sampled time scaled to all later calls. */
     double estMs() const;
 
     /** Estimated mean host ns per invocation. */
@@ -75,8 +86,21 @@ void setEnabled(bool on);
 
 inline bool enabled() { return enabledFlag; }
 
-/** Time one in @p period invocations per event name (default 64). */
+/**
+ * Time one in @p period later invocations per event name on
+ * average (default 64); 1 times every call.
+ */
 void setSamplePeriod(std::uint64_t period);
+
+/** A host clock in ns. */
+using ClockFn = std::uint64_t (*)();
+
+/**
+ * Read @p fn instead of steady_clock for every timed invocation;
+ * null restores steady_clock. Lets tests give events exact,
+ * deterministic costs. Set it only while no events run.
+ */
+void setClock(ClockFn fn);
 
 /**
  * Whether reports include wall-time estimates. Off zeroes every
@@ -117,9 +141,10 @@ void dumpTable(std::ostream &os, std::size_t top_n = 10);
 void writeJson(std::ostream &os, std::size_t top_n);
 
 /**
- * Service @p event under the profiler: count it, time it if its
- * name's 1-in-N sampler fires, then run process(). Called from
- * EventQueue::step() only while enabledFlag is set.
+ * Service @p event under the profiler: count it, time it if it is
+ * its name's first call or its name's sampler fires, then run
+ * process(). Called from EventQueue::step() only while enabledFlag
+ * is set.
  */
 void profileProcess(Event *event);
 
@@ -130,8 +155,9 @@ void profileProcess(Event *event);
  * stays lock-free. All reporting entry points above aggregate the
  * base accumulator plus every domain, merged by name content —
  * counts are exact and thread-count independent. Note the per-name
- * 1-in-N *timing subsample* is taken per domain, so sampled/estMs
- * may differ from an unpartitioned run (counts never do).
+ * *timing subsample* (first call included) is taken per domain, so
+ * sampled/estMs may differ from an unpartitioned run (counts never
+ * do).
  */
 
 /** Ensure @p n per-domain accumulators exist (engine start). */

@@ -267,6 +267,116 @@ TEST(ParallelEngineTest, ThreadCountDoesNotChangePingPong)
     EXPECT_EQ(run(1), run(4));
 }
 
+TEST(ParallelEngineTest, ThousandDomainsDrainInDestSourceFifoOrder)
+{
+    // One window of a 1000-domain engine touches a handful of
+    // domain pairs: three sources post to domain 3, and domain 42
+    // posts to three destinations. The barrier applies domain 3's
+    // posts by source, then in FIFO order within a source, which
+    // shows where two sources (or one source twice) schedule and
+    // deschedule the same event: a and c fire, b and d do not.
+    constexpr unsigned domains = 1000;
+    constexpr unsigned sink = 3;
+    constexpr Tick at = 10 + 2 * quantum;
+
+    auto run = [](unsigned threads) {
+        Simulation sim;
+        for (unsigned d = 1; d < domains; ++d)
+            sim.addDomain();
+        sim.setupParallel(threads, quantum);
+        ParallelEngine &eng = *sim.engine();
+        EventQueue &q = sim.domainQueue(sink);
+
+        std::vector<std::string> fired;
+        auto note = [&](const std::string &what) {
+            const EventQueue *cur = par::currentQueue();
+            fired.push_back(what + "@" +
+                            std::to_string(cur->domainId()) + "/" +
+                            std::to_string(sim.curTick()));
+        };
+        EventFunctionWrapper a([&] { note("a"); }, "test.a");
+        EventFunctionWrapper b([&] { note("b"); }, "test.b");
+        EventFunctionWrapper c([&] { note("c"); }, "test.c");
+        EventFunctionWrapper d([&] { note("d"); }, "test.d");
+
+        // Domain 900's schedule of a lands after domain 5's
+        // deschedule (a no-op); domain 5's schedule of d lands
+        // before domain 900's deschedule.
+        EventFunctionWrapper from900(
+            [&] {
+                eng.postSchedule(q, a, at);
+                eng.postDeschedule(q, d);
+            },
+            "test.from900");
+        EventFunctionWrapper from5(
+            [&] {
+                eng.postDeschedule(q, a);
+                eng.postSchedule(q, d, at);
+            },
+            "test.from5");
+        // One source, FIFO: b is cancelled, c is not.
+        EventFunctionWrapper from17(
+            [&] {
+                eng.postSchedule(q, b, at);
+                eng.postDeschedule(q, b);
+                eng.postDeschedule(q, c);
+                eng.postSchedule(q, c, at + 1);
+            },
+            "test.from17");
+        // Domain 42 fans out to three destinations; fired is
+        // written by one domain per window, so the three calls
+        // fire one window apart.
+        EventFunctionWrapper from42(
+            [&] {
+                eng.postCall(sim.domainQueue(999), at + 2 * quantum,
+                             [&] { note("call"); });
+                eng.postCall(sim.domainQueue(0), at + 3 * quantum,
+                             [&] { note("call"); });
+                eng.postCall(sim.domainQueue(500), at + 4 * quantum,
+                             [&] { note("call"); });
+            },
+            "test.from42");
+        sim.domainQueue(900).schedule(&from900, 10);
+        sim.domainQueue(5).schedule(&from5, 10);
+        sim.domainQueue(17).schedule(&from17, 10);
+        sim.domainQueue(42).schedule(&from42, 10);
+        sim.run();
+
+        EXPECT_FALSE(b.scheduled());
+        EXPECT_FALSE(d.scheduled());
+        if (prof::compiledIn) {
+            std::uint64_t sent = 0;
+            std::uint64_t received = 0;
+            for (unsigned dom = 0; dom < domains; ++dom) {
+                sent += eng.mailboxSent(dom);
+                received += eng.mailboxReceived(dom);
+            }
+            EXPECT_EQ(sent, 11u);
+            EXPECT_EQ(received, 11u);
+            EXPECT_EQ(eng.mailboxSent(900), 2u);
+            EXPECT_EQ(eng.mailboxSent(5), 2u);
+            EXPECT_EQ(eng.mailboxSent(17), 4u);
+            EXPECT_EQ(eng.mailboxSent(42), 3u);
+            EXPECT_EQ(eng.mailboxReceived(sink), 8u);
+            EXPECT_EQ(eng.mailboxReceived(999), 1u);
+            EXPECT_EQ(eng.mailboxReceived(0), 1u);
+            EXPECT_EQ(eng.mailboxReceived(500), 1u);
+        }
+        return fired;
+    };
+
+    const std::string t = std::to_string(at);
+    const std::vector<std::string> expected{
+        "a@3/" + t,
+        "c@3/" + std::to_string(at + 1),
+        "call@999/" + std::to_string(at + 2 * quantum),
+        "call@0/" + std::to_string(at + 3 * quantum),
+        "call@500/" + std::to_string(at + 4 * quantum),
+    };
+    EXPECT_EQ(run(1), expected);
+    EXPECT_EQ(run(4), expected);
+}
+
 TEST(ParallelEngineTest, OversubscribedWorkersMatchOneWorker)
 {
     // Sixteen domains on eight workers, two domains each. A token

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/event_queue.hh"
 #include "sim/profiler.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
@@ -38,8 +39,26 @@ struct ProfGuard
         prof::reset();
         prof::setSamplePeriod(64);
         prof::setReportTimes(true);
+        prof::setClock(nullptr);
     }
 };
+
+/** A fake host clock the tests advance by hand. */
+std::uint64_t fakeNs = 0;
+
+std::uint64_t
+fakeClock()
+{
+    return fakeNs;
+}
+
+/** A fake host clock that ticks 1 ns per read, so every timed
+ *  invocation measures exactly 1 ns. */
+std::uint64_t
+tickingClock()
+{
+    return ++fakeNs;
+}
 
 /** Fires its named event @p fires times, @p period ticks apart. */
 class Ticker : public SimObject
@@ -140,31 +159,89 @@ TEST(Profiler, SamplePeriodBoundsTimedInvocations)
     if (!prof::compiledIn)
         GTEST_SKIP() << "built with PCIESIM_PROFILING=0";
     ProfGuard guard;
-    prof::setSamplePeriod(4);
+    prof::setClock(tickingClock);
+    constexpr int fires = 4000;
 
-    {
-        Simulation sim;
-        Ticker a(sim, "a", 10);
-        sim.run();
-    }
-    auto spots = prof::hotSpots();
-    const prof::HotSpot *s = findSpot(spots, "a.tick");
-    ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->count, 10u);
-    // Invocations 0, 4, and 8 land on the 1-in-4 sampler.
-    EXPECT_EQ(s->sampled, 3u);
+    auto profile = [](std::uint64_t period) {
+        prof::reset();
+        prof::setSamplePeriod(period);
+        {
+            Simulation sim;
+            Ticker a(sim, "a", fires);
+            sim.run();
+        }
+        const auto spots = prof::hotSpots();
+        const prof::HotSpot *s = findSpot(spots, "a.tick");
+        EXPECT_NE(s, nullptr);
+        return s ? *s : prof::HotSpot{};
+    };
 
-    prof::reset();
-    prof::setSamplePeriod(1);
-    {
-        Simulation sim;
-        Ticker a(sim, "a", 10);
-        sim.run();
-    }
-    spots = prof::hotSpots();
-    s = findSpot(spots, "a.tick");
-    ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->sampled, s->count);
+    // The first call is timed apart; about one in four later calls
+    // is timed, at gaps drawn from the name alone, so a rerun
+    // times the same calls.
+    const prof::HotSpot s = profile(4);
+    EXPECT_EQ(s.count, static_cast<std::uint64_t>(fires));
+    EXPECT_EQ(s.firstCalls, 1u);
+    EXPECT_EQ(s.firstNs, 1u);
+    EXPECT_EQ(s.sampledNs, s.sampled);
+    EXPECT_NEAR(static_cast<double>(s.sampled), (fires - 1) / 4.0,
+                0.1 * fires / 4.0);
+    EXPECT_EQ(profile(4).sampled, s.sampled);
+
+    // Period 1 times every call: the first apart, the rest sampled.
+    const prof::HotSpot all = profile(1);
+    EXPECT_EQ(all.firstNs, 1u);
+    EXPECT_EQ(all.sampled, all.count - 1);
+    EXPECT_EQ(all.sampledNs, all.sampled);
+}
+
+TEST(Profiler, SampledEstimateIsUnbiased)
+{
+    if (!prof::compiledIn)
+        GTEST_SKIP() << "built with PCIESIM_PROFILING=0";
+    ProfGuard guard;
+    prof::setClock(fakeClock);
+
+    // Later call k costs 10 * (1 + k % 64) ns, a pattern that
+    // repeats with the default sample period; the first call costs
+    // 100x their mean. Timing calls 0, 64, 128, ... would price
+    // the first call 64 times over and every later one at the
+    // pattern's minimum.
+    constexpr std::uint64_t calls = 64 * 500;
+    constexpr std::uint64_t firstNs = 100 * 325;
+    auto profile = [](std::uint64_t period) {
+        prof::reset();
+        prof::setSamplePeriod(period);
+        EventQueue q;
+        std::uint64_t k = 0;
+        EventFunctionWrapper ev(
+            [&] {
+                fakeNs += k == 0 ? firstNs : 10 * (1 + k % 64);
+                ++k;
+            },
+            "bias.costed");
+        for (std::uint64_t i = 0; i < calls; ++i) {
+            q.schedule(&ev, q.curTick() + 1);
+            q.step();
+        }
+        const auto spots = prof::hotSpots();
+        const prof::HotSpot *s = findSpot(spots, "bias.costed");
+        EXPECT_NE(s, nullptr);
+        return s ? *s : prof::HotSpot{};
+    };
+
+    const prof::HotSpot exact = profile(1);
+    const prof::HotSpot est = profile(64);
+    EXPECT_EQ(exact.firstNs, firstNs);
+    EXPECT_EQ(est.firstNs, firstNs);
+    EXPECT_EQ(est.count, calls);
+    ASSERT_GT(est.sampled, 0u);
+    EXPECT_NEAR(est.estMs() / exact.estMs(), 1.0, 0.15);
+    // Only later calls are sampled: their mean is the pattern's,
+    // untouched by the 100x first call.
+    EXPECT_NEAR(static_cast<double>(est.sampledNs) /
+                    static_cast<double>(est.sampled),
+                325.0, 0.15 * 325.0);
 }
 
 TEST(Profiler, ReportTimesOffIsByteDeterministic)
@@ -257,6 +334,11 @@ TEST(Profiler, HotSpotEstimatesScaleSampledTime)
     prof::HotSpot unsampled{"y", 100, 0, 0};
     EXPECT_DOUBLE_EQ(unsampled.estMs(), 0.0);
     EXPECT_DOUBLE_EQ(unsampled.avgNs(), 0.0);
+    // Each first call counts once at its own time; the 10 timed
+    // later calls scale to the 98 later calls.
+    prof::HotSpot firsts{"z", 100, 10, 1000, 2, 5000};
+    EXPECT_DOUBLE_EQ(firsts.estMs(), (5000 + 9800) / 1e6);
+    EXPECT_DOUBLE_EQ(firsts.avgNs(), 148.0);
 }
 
 TEST(StatsDumperTest, EpochBannersResetAndFinalFlush)

@@ -23,7 +23,10 @@
 #      bench_fabric on tree3.json at --threads 2 (seven link
 #      domains, so windows keep fanning out after the first and
 #      real links hand packets between locked and unlocked
-#      windows), the parallel engine unit tests (16 domains on 8
+#      windows), bench_fabric on faulty_multi_device.json at
+#      --threads 4 (bit errors, NAK and AER: the error path's
+#      keyed messages on concurrent workers), the parallel engine
+#      unit tests (16 domains on 8
 #      workers included), the parallel telemetry unit tests and
 #      the t0/t1/t4 determinism gate (its t4 legs send keyed
 #      deliveries over every cut wire at once) under
@@ -105,6 +108,9 @@ cmake --build build-tsan -j "$jobs" --target bench_kernel \
     >/dev/null
 ./build-tsan/bench/bench_fabric --smoke \
     --topology=examples/topologies/tree3.json --threads 2 >/dev/null
+./build-tsan/bench/bench_fabric --smoke \
+    --topology=examples/topologies/faulty_multi_device.json \
+    --threads 4 >/dev/null
 ./build-tsan/tests/parallel_engine_test
 ./build-tsan/tests/parallel_telemetry_test
 ./build-tsan/tests/parallel_determinism_test

@@ -24,12 +24,11 @@ IdeDriver::probe(Kernel &kernel, const EnumeratedFunction &fn)
 
     if (params_.trackRecovery) {
         auto &reg = kernel.statsRegistry();
-        reg.add("system.ideDriver.recoveries", &recoveries_,
+        reg.add(statsName_ + ".recoveries", &recoveries_,
                 "commands reissued after a surprise removal");
-        reg.add("system.ideDriver.lostRequests", &lostRequests_,
+        reg.add(statsName_ + ".lostRequests", &lostRequests_,
                 "in-flight commands lost to surprise removals");
-        reg.add("system.ideDriver.recoveryLatency",
-                &recoveryLatency_,
+        reg.add(statsName_ + ".recoveryLatency", &recoveryLatency_,
                 "surprise-removal to command-reissue latency "
                 "(ticks)", stats::Unit::Tick);
     }

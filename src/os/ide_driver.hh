@@ -11,6 +11,8 @@
 #define PCIESIM_OS_IDE_DRIVER_HH
 
 #include <functional>
+#include <string>
+#include <utility>
 
 #include "dev/ide_disk.hh"
 #include "os/aer_handler.hh"
@@ -43,8 +45,11 @@ struct IdeDriverParams
 class IdeDriver : public Driver, public AerRecoveryClient
 {
   public:
-    explicit IdeDriver(const IdeDriverParams &params = {})
-        : params_(params)
+    /** @p stats_name prefixes the recovery stats; a fabric with
+     *  several disks gives each driver its own. */
+    explicit IdeDriver(const IdeDriverParams &params = {},
+                       std::string stats_name = "system.ideDriver")
+        : params_(params), statsName_(std::move(stats_name))
     {}
 
     std::vector<MatchEntry>
@@ -92,6 +97,7 @@ class IdeDriver : public Driver, public AerRecoveryClient
     void handleIrq();
 
     IdeDriverParams params_;
+    std::string statsName_;
     Kernel *kernel_ = nullptr;
     bool probed_ = false;
     Bdf bdf_{};

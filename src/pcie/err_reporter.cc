@@ -1,6 +1,7 @@
 #include "err_reporter.hh"
 
-#include "sim/parallel.hh"
+#include <algorithm>
+
 #include "sim/trace.hh"
 
 namespace pciesim
@@ -28,40 +29,29 @@ ErrReporter::init()
 }
 
 void
-ErrReporter::report(const ErrMsg &msg)
+ErrReporter::report(const ErrMsg &msg, Tick path)
 {
-    // The message rides upstream out-of-band: it is queued here and
-    // handed to the root-side sink after the reporting latency, in
-    // report order.
-    const bool cross = par::engineActive &&
-                       par::currentQueue() != &eventq();
-    Tick now = cross ? par::currentQueue()->curTick() : curTick();
-    Tick when = now + deliveryLatency_;
-    {
-        std::unique_lock<std::mutex> lock(pendingMu_, std::defer_lock);
-        if (par::concurrent)
-            lock.lock();
-        pending_.push_back(msg);
-    }
-    TRACE_MSG(Flag::Rc, now, name(), "queue ",
+    // The message rides upstream out-of-band: a keyed message to
+    // the root domain, whichever domain detected the error.
+    Simulation &s = sim();
+    TRACE_MSG(Flag::Rc, s.curTick(), name(), "queue ",
               errSeverityName(msg.sev), " from source 0x",
               msg.sourceId);
-    if (cross) {
-        // A detector on another link domain must not touch the
-        // root queue's heap; route the wake-up through the engine
-        // mailbox. (Error-generating configurations pin the fabric
-        // to one domain today, but the reporter stays safe if that
-        // ever changes.)
-        par::activeEngine->postCall(eventq(), when,
-                                    [this] { deliver(); });
+    s.callAt(eventq().domainId(),
+             s.curTick() + std::max(deliveryLatency_, path),
+             [this, msg] { arrive(msg); });
+}
+
+void
+ErrReporter::arrive(const ErrMsg &msg)
+{
+    pending_.push_back(msg);
+    if (deliverEvent_.scheduled())
         return;
-    }
-    // Deliveries ride the root (domain 0) queue. The named receiver
-    // keeps this schedule visible to the domain-safety analyzer:
-    // err_reporter.cc is a sanctioned cross-domain file.
-    EventQueue *root_queue = &eventq();
-    if (!deliverEvent_.scheduled())
-        root_queue->schedule(&deliverEvent_, when);
+    if (curTick() >= nextFree_)
+        deliver();
+    else
+        eventq().schedule(&deliverEvent_, nextFree_);
 }
 
 std::uint64_t
@@ -73,29 +63,17 @@ ErrReporter::delivered(ErrSeverity sev) const
 void
 ErrReporter::deliver()
 {
-    ErrMsg msg;
-    bool more = false;
-    {
-        std::unique_lock<std::mutex> lock(pendingMu_, std::defer_lock);
-        if (par::concurrent)
-            lock.lock();
-        if (pending_.empty())
-            return; // drained by an earlier mailboxed wake-up
-        msg = pending_.front();
-        pending_.pop_front();
-        more = !pending_.empty();
-    }
+    ErrMsg msg = pending_.front();
+    pending_.pop_front();
     ++deliveredBySev_[static_cast<std::size_t>(msg.sev)];
     TRACE_MSG(Flag::Rc, curTick(), name(), "deliver ",
               errSeverityName(msg.sev), " (AER bit 0x", msg.aerBit,
               ") from source 0x", msg.sourceId);
     if (sink_)
         sink_(msg);
-    if (more && !deliverEvent_.scheduled()) {
-        EventQueue *root_queue = &eventq();
-        root_queue->schedule(&deliverEvent_,
-                             curTick() + deliveryLatency_);
-    }
+    nextFree_ = curTick() + deliveryLatency_;
+    if (!pending_.empty())
+        eventq().schedule(&deliverEvent_, nextFree_);
 }
 
 } // namespace pciesim

@@ -5,9 +5,10 @@
  * with a modelled propagation latency (DESIGN.md §12).
  *
  * Error messages are posted TLPs travelling upstream out-of-band of
- * the data path; the model delivers them as deferred callbacks on
- * the root's (domain 0) event queue, so a detector running on any
- * link domain may report without touching root-side state directly.
+ * the data path; each is a keyed message (Simulation::callAt) to the
+ * root's (domain 0) event queue, so a detector running on any link
+ * domain reports without touching root-side state, and the root
+ * side alone paces the deliveries.
  */
 
 #ifndef PCIESIM_PCIE_ERR_REPORTER_HH
@@ -16,7 +17,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <mutex>
 
 #include "pci/aer.hh"
 #include "sim/sim_object.hh"
@@ -37,8 +37,8 @@ struct ErrMsg
 };
 
 /**
- * Collects error messages and delivers them to the root-side sink
- * after a fixed reporting latency, in arrival order.
+ * Delivers error messages to the root-side sink after a fixed
+ * reporting latency, one per latency at most, in arrival order.
  */
 class ErrReporter : public SimObject
 {
@@ -55,22 +55,30 @@ class ErrReporter : public SimObject
         sink_ = std::move(sink);
     }
 
-    /** Post one error message toward the root. Safe to call from
-     *  any link domain. */
-    void report(const ErrMsg &msg);
+    /**
+     * Post one error message toward the root from the calling
+     * domain. It arrives after the reporting latency, or after
+     * @p path, the detector's lookahead to the root, if that is
+     * longer.
+     */
+    void report(const ErrMsg &msg, Tick path);
 
     /** Messages delivered so far, by severity (tests/benches). */
     std::uint64_t delivered(ErrSeverity sev) const;
 
   private:
+    /** A message reaches the root: deliver it now, or queue it
+     *  behind the previous delivery's pacing slot. */
+    void arrive(const ErrMsg &msg);
     void deliver();
 
     Tick deliveryLatency_;
     std::function<void(const ErrMsg &)> sink_;
-    /** Messages in flight; pendingMu_ guards them for a
-     *  cross-domain report() in a fanned-out engine window. */
+    /** Arrived messages waiting for their delivery slot. */
     std::deque<ErrMsg> pending_;
-    std::mutex pendingMu_;
+    /** Earliest tick of the next delivery: the last one plus the
+     *  latency. */
+    Tick nextFree_ = 0;
     stats::Vector deliveredBySev_;
     MemberEventWrapper<ErrReporter, &ErrReporter::deliver>
         deliverEvent_;

@@ -22,7 +22,6 @@ namespace par
 
 bool engineActive = false;
 bool concurrent = false;
-ParallelEngine *activeEngine = nullptr;
 
 namespace
 {
@@ -190,16 +189,6 @@ ParallelEngine::ParallelEngine(std::vector<EventQueue *> queues,
 }
 
 void
-ParallelEngine::postSchedule(EventQueue &dst, Event &event, Tick when)
-{
-    EventQueue &src = sourceQueue();
-    outbox_[src.domainId()].push_back({Op::Kind::schedule,
-                                       dst.domainId(), &event, when,
-                                       src.curTick(), src.nextTie(),
-                                       nullptr});
-}
-
-void
 ParallelEngine::postScheduleEarliest(EventQueue &dst, Event &event,
                                      Tick when, Tick key_order,
                                      std::uint64_t key_tie)
@@ -207,14 +196,6 @@ ParallelEngine::postScheduleEarliest(EventQueue &dst, Event &event,
     outbox_[sourceQueue().domainId()].push_back(
         {Op::Kind::scheduleEarliest, dst.domainId(), &event, when,
          key_order, key_tie, nullptr});
-}
-
-void
-ParallelEngine::postDeschedule(EventQueue &dst, Event &event)
-{
-    outbox_[sourceQueue().domainId()].push_back(
-        {Op::Kind::deschedule, dst.domainId(), &event, 0, 0, 0,
-         nullptr});
 }
 
 void
@@ -261,13 +242,6 @@ ParallelEngine::applyMailboxes()
 #if PCIESIM_PROFILING
         ++mailboxReceived_[p.dst];
 #endif
-        if (op.kind == Op::Kind::deschedule) {
-            // Tolerant: the event may have fired (or been pulled
-            // earlier and fired) since the post.
-            if (op.event->scheduled())
-                q.deschedule(op.event);
-            continue;
-        }
         // The conservative guarantee: anything posted during the
         // window that just completed lands at or beyond its end
         // (post tick + quantum >= end).
@@ -275,21 +249,12 @@ ParallelEngine::applyMailboxes()
                       "cross-domain event lands at ", op.when,
                       " inside the window ending at ", windowEnd_,
                       " (link latency below the quantum?)");
-        switch (op.kind) {
-          case Op::Kind::schedule:
-            q.scheduleKeyed(op.event, op.when, op.keyOrder,
-                            op.keyTie);
-            break;
-          case Op::Kind::scheduleEarliest:
+        if (op.kind == Op::Kind::scheduleEarliest) {
             q.scheduleEarliestKeyed(op.event, op.when, op.keyOrder,
                                     op.keyTie);
-            break;
-          case Op::Kind::call:
+        } else {
             q.scheduleKeyed(new OneShotEvent(std::move(op.fn)),
                             op.when, op.keyOrder, op.keyTie);
-            break;
-          default:
-            break;
         }
     }
     for (std::vector<Op> &box : outbox_)
@@ -430,7 +395,6 @@ ParallelEngine::run(Tick max_tick)
     // ever runs concurrently.
     par::concurrent = threads_ > 1;
     PCIESIM_AUDIT_ONLY(par::holderThread = std::this_thread::get_id();)
-    par::activeEngine = this;
 
     stop_.store(false, std::memory_order_relaxed);
     computeWindow(max_tick);
@@ -535,7 +499,6 @@ ParallelEngine::run(Tick max_tick)
     for (std::thread &t : workers)
         t.join();
 
-    par::activeEngine = nullptr;
     par::concurrent = false;
     par::engineActive = false;
 #if PCIESIM_TRACING

@@ -133,10 +133,10 @@ class ParallelEngine
     /** @{
      * Cross-domain posts. Callable only from a worker inside its
      * window (the source domain is the calling thread's current
-     * queue); applied at the next barrier. The ordering key is
-     * captured here, on the sending domain.
+     * queue); applied at the next barrier. There are two kinds:
+     * packets on a cut wire and keyed messages
+     * (Simulation::callAt).
      */
-    void postSchedule(EventQueue &dst, Event &event, Tick when);
     /** Schedule-if-earlier with a caller-computed key: the sink may
      *  also arm @p event for the same occurrence (a wire rearming
      *  after a delivery), so the key must be fixed once, at send
@@ -144,7 +144,8 @@ class ParallelEngine
     void postScheduleEarliest(EventQueue &dst, Event &event,
                               Tick when, Tick key_order,
                               std::uint64_t key_tie);
-    void postDeschedule(EventQueue &dst, Event &event);
+    /** Run @p fn at @p when on @p dst, keyed here on the sending
+     *  domain. */
     void postCall(EventQueue &dst, Tick when,
                   std::function<void()> fn);
     /** @} */
@@ -155,9 +156,7 @@ class ParallelEngine
     {
         enum class Kind : std::uint8_t
         {
-            schedule,
             scheduleEarliest,
-            deschedule,
             call,
         };
 
@@ -256,15 +255,6 @@ class ParallelEngine
     std::vector<std::string> trackNames_;
     /** @} */
 };
-
-namespace par
-{
-
-/** The engine whose run() is currently executing, else null.
- *  Same write discipline as engineActive. */
-extern ParallelEngine *activeEngine;
-
-} // namespace par
 
 } // namespace pciesim
 

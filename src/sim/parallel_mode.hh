@@ -17,8 +17,8 @@
  *    now? True only while a fanned-out window runs. It keys the
  *    *synchronization* alone — the packet pool mutex, atomic
  *    refcounts and the live-packet count, a cut wire's in-flight
- *    lock, the error reporter's queue lock — so it may change only
- *    wall time, never a simulated result.
+ *    lock — so it may change only wall time, never a simulated
+ *    result.
  *
  * The write discipline: engineActive is written on the main thread
  * strictly before workers are spawned and strictly after they are

@@ -153,11 +153,14 @@ class Simulation
     ParallelEngine *engine() { return engine_.get(); }
 
     /**
-     * Run @p fn at tick @p when on domain @p d's queue. From a
-     * foreign domain mid-window this is mailboxed through the
-     * engine ((when - now) must be >= the quantum); otherwise it
-     * schedules directly. Used for cross-domain side effects that
-     * are not packets (e.g. INTx messages toward the host GIC).
+     * Run @p fn at tick @p when on domain @p d's queue: a keyed
+     * message. From a foreign domain mid-window this is mailboxed
+     * through the engine ((when - now) must be >= the quantum);
+     * otherwise it schedules directly. Every cross-domain side
+     * effect that is not a packet goes this way (INTx and AER
+     * messages, a link's training messages, switch containment),
+     * with a latency of at least the lookahead of the links it
+     * crosses at every thread count (DESIGN.md §10).
      */
     void callAt(unsigned d, Tick when, std::function<void()> fn);
 

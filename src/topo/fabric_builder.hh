@@ -22,6 +22,7 @@
 #ifndef PCIESIM_TOPO_FABRIC_BUILDER_HH
 #define PCIESIM_TOPO_FABRIC_BUILDER_HH
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -294,8 +295,19 @@ class Fabric
     void registerTree();
     void auditConfig();
     void installIntxSink(PciDevice &dev, Tick intx_latency);
-    /** Deepest switch owning a downstream port routing @p bus. */
-    PcieSwitch *containingSwitch(unsigned bus, int &port);
+    /** Domain of the router above @p n's upstream link. */
+    unsigned upstreamDomain(const Node &n) const;
+    /** Lookahead from node @p idx up to the root complex: the sum
+     *  over its upstream link and every ancestor's (0 for -1 or a
+     *  node with no link). */
+    Tick pathLookahead(int idx) const;
+    /** The switch node owning the deepest downstream port routing
+     *  @p bus, with that port; null when no switch routes it. */
+    Node *containingSwitch(unsigned bus, int &port);
+    /** Run @p fn on the switch port fronting @p bus, on the
+     *  switch's domain, one root-to-switch lookahead from now. */
+    void atSwitchPort(unsigned bus,
+                      std::function<void(PcieSwitch &, unsigned)> fn);
 
     Simulation &sim_;
     FabricDesc desc_;

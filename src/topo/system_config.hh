@@ -84,7 +84,9 @@ struct SystemConfig
     /** Platform interrupt line of the root error block (below the
      *  enumerator's INTx range, which starts at 32). */
     unsigned aerIrqLine = 30;
-    /** In-band flight time of an error message to the root. */
+    /** In-band flight time of an error message to the root; at
+     *  least the detector's lookahead to the root, whatever is set,
+     *  and the root delivers at most one message per this time. */
     Tick aerMsgLatency = nanoseconds(400);
     /** Link degradation: errors per degradeWindow that trigger a
      *  retrain one speed Gen (then width) down. 0 disables. */
@@ -105,9 +107,10 @@ struct SystemConfig
      * Number of worker threads for parallel discrete-event
      * execution; it changes only wall time. 0 (the default) runs
      * one event queue. Any value >= 1 partitions the fabric's link
-     * endpoints into domains driven by that many workers, where
-     * the configuration allows it. Every count simulates the same
-     * history: identical stats outside the engine's own
+     * endpoints into domains driven by that many workers when it
+     * has two or more device domains and neither periodic stats
+     * sampling nor dump epochs pin it. Every count simulates the
+     * same history: identical stats outside the engine's own
      * "system.parallel.*" block.
      */
     unsigned threads = 0;
@@ -181,22 +184,6 @@ struct SystemConfig
         return lp;
     }
 };
-
-/**
- * Conservative lookahead of a link with parameters @p lp: the
- * smallest possible flight time of anything the wire carries. The
- * shortest transfer is a DLLP (8 symbols), so no event can cross
- * the link in less than its serialization time at the link's own
- * gen and width plus the propagation delay. The synchronization
- * quantum of a partitioned topology is the minimum lookahead over
- * its links.
- */
-inline Tick
-linkLookahead(const PcieLinkParams &lp)
-{
-    return serializationTime(lp.gen, lp.width, overhead::dllpTotal) +
-           lp.propagationDelay;
-}
 
 } // namespace pciesim
 

@@ -10,11 +10,15 @@
  * interleaved the workers.
  *
  * The gate covers every example topology with its bench_fabric
- * --topology workload, an eight-generator multi-device fabric and
- * a four-NIC fabric on two Ethernet wires. Fabrics whose device
- * work sits in one domain run on one queue at every thread count
- * (DESIGN.md Sec. 10), so the multi-endpoint cases are the ones
- * that run the engine. Between one worker and four, even the
+ * --topology workload, an eight-generator multi-device fabric, a
+ * four-NIC fabric on two Ethernet wires, and the error path: link
+ * bit errors with NAK recovery, retrains and degradation, AER and
+ * surprise hot-unplug, each on a fabric with two device domains,
+ * where every effect one domain has on another travels as a keyed
+ * message. Fabrics whose device work sits in one domain run on one
+ * queue at every thread count (DESIGN.md Sec. 10), so the
+ * multi-endpoint cases are the ones that run the engine. Between
+ * one worker and four, even the
  * engine block must match, which the original 1-vs-4 case still
  * asserts. The
  * bench-level tier-2 gates check the same property over full JSON
@@ -24,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -41,7 +46,29 @@ struct RunResult
     Tick endTick = 0;
     bool partitioned = false;
     std::string stats;
+    /** @{ Evidence the error path ran: link counters summed over
+     *  every link, AER messages delivered, disk unplugs. */
+    LinkErrorStats links;
+    std::uint64_t aerDelivered = 0;
+    std::uint64_t unplugs = 0;
+    /** @} */
 };
+
+/** Fill @p r's error-path evidence from @p fabric. */
+void
+noteErrorPath(RunResult &r, Fabric &fabric)
+{
+    for (PcieLink *l : fabric.links())
+        r.links += l->errorStats();
+    if (ErrReporter *rep = fabric.errReporter()) {
+        for (ErrSeverity sev : {ErrSeverity::Correctable,
+                                ErrSeverity::NonFatal,
+                                ErrSeverity::Fatal})
+            r.aerDelivered += rep->delivered(sev);
+    }
+    for (unsigned i = 0; i < fabric.numDisks(); ++i)
+        r.unplugs += fabric.disk(i).unplugs();
+}
 
 /** The registry dump of @p sim, with or without the engine's own
  *  "system.parallel.*" lines (present only when partitioned). */
@@ -103,12 +130,15 @@ threadedRun(unsigned threads, bool with_engine = true)
 /** One run of examples/topologies/@p file with bench_fabric
  *  --topology's workload: direct DMA writes when the fabric has
  *  traffic generators, a 1 MiB dd when it has a disk, a bare boot
- *  otherwise. */
+ *  otherwise. @p tweak edits the configuration first. */
 RunResult
-topologyRun(const std::string &file, unsigned threads)
+topologyRun(const std::string &file, unsigned threads,
+            const std::function<void(SystemConfig &)> &tweak = {})
 {
     FabricDesc desc =
         loadFabricDesc(std::string(PCIESIM_TOPOLOGY_DIR) + "/" + file);
+    if (tweak)
+        tweak(desc.config);
     desc.config.threads = threads;
     Simulation sim;
     Fabric fabric(sim, desc);
@@ -127,6 +157,39 @@ topologyRun(const std::string &file, unsigned threads)
     r.endTick = sim.curTick();
     r.partitioned = fabric.partitioned();
     r.stats = dumpStats(sim, false);
+    noteErrorPath(r, fabric);
+    return r;
+}
+
+/**
+ * storage.json with a second device of @p kind ("traffic_gen" or
+ * "ide_disk") on the switch's second port, so the fabric has two
+ * device domains, under configuration @p cfg; a 1 MiB dd through
+ * the first disk.
+ */
+RunResult
+storagePlusRun(const std::string &kind, SystemConfig cfg,
+               unsigned threads)
+{
+    FabricDesc desc =
+        loadFabricDesc(PCIESIM_TOPOLOGY_DIR "/storage.json");
+    FabricNodeDesc second = desc.nodes.back();
+    second.name = kind == "ide_disk" ? "disk2" : "tgen";
+    second.kind = kind;
+    second.link.name = second.name + "Link";
+    desc.nodes.push_back(second);
+    cfg.threads = threads;
+    desc.config = cfg;
+    Simulation sim;
+    Fabric fabric(sim, desc);
+    DdWorkloadParams dd;
+    dd.blockBytes = 1 << 20;
+    RunResult r;
+    r.gbps = fabric.runDd(dd);
+    r.endTick = sim.curTick();
+    r.partitioned = fabric.partitioned();
+    r.stats = dumpStats(sim, false);
+    noteErrorPath(r, fabric);
     return r;
 }
 
@@ -215,6 +278,24 @@ expectOneSemantics(const RunResult &t0, const RunResult &t1,
     expectIdentical(t1.stats, t4.stats, "t1", "t4");
 }
 
+/** The gate for an error-path workload @p run: one queue at t0, an
+ *  engine at t1 and t4, one history. Returns the t0 run. */
+RunResult
+expectEngineMatchesSingleQueue(
+    const std::function<RunResult(unsigned)> &run)
+{
+    setInformEnabled(false);
+    RunResult t0 = run(0);
+    RunResult t1 = run(1);
+    RunResult t4 = run(4);
+    EXPECT_FALSE(t0.partitioned);
+    EXPECT_TRUE(t1.partitioned);
+    EXPECT_TRUE(t4.partitioned);
+    EXPECT_GT(t0.gbps, 0.0);
+    expectOneSemantics(t0, t1, t4);
+    return t0;
+}
+
 } // namespace
 
 TEST(ParallelDeterminism, OneVsFourThreadsBitIdentical)
@@ -254,8 +335,9 @@ TEST_P(TopologyDeterminism, SingleQueueMatchesEngine)
 
     // Only the fabrics with two or more device domains are cut
     // into domains; the rest run on one queue at every count.
-    const bool multi_domain =
-        file == "multi_device.json" || file == "tree3.json";
+    const bool multi_domain = file == "multi_device.json" ||
+                              file == "tree3.json" ||
+                              file == "faulty_multi_device.json";
     EXPECT_FALSE(t0.partitioned);
     EXPECT_EQ(t1.partitioned, multi_domain);
     EXPECT_EQ(t4.partitioned, multi_domain);
@@ -274,11 +356,78 @@ TEST(ParallelDeterminism, TwoWireNicSingleQueueMatchesEngine)
     expectOneSemantics(t0, t1, t4);
 }
 
+TEST(ParallelDeterminism, BitErrorsMatchSingleQueue)
+{
+    SystemConfig cfg;
+    cfg.linkBitErrorRate = 1e-6;
+    cfg.faultSeed = 7;
+    RunResult t0 = expectEngineMatchesSingleQueue([&](unsigned t) {
+        return storagePlusRun("traffic_gen", cfg, t);
+    });
+    EXPECT_GT(t0.links.crcErrorsTlp + t0.links.crcErrorsDllp, 0u);
+}
+
+TEST(ParallelDeterminism, AerUnplugMatchesSingleQueue)
+{
+    SystemConfig cfg;
+    cfg.aerEnabled = true;
+    cfg.unplugAtChunk = 8;
+    RunResult t0 = expectEngineMatchesSingleQueue([&](unsigned t) {
+        return storagePlusRun("traffic_gen", cfg, t);
+    });
+    EXPECT_EQ(t0.unplugs, 1u);
+    EXPECT_GE(t0.aerDelivered, 1u);
+}
+
+TEST(ParallelDeterminism, DegradationMatchesSingleQueue)
+{
+    SystemConfig cfg;
+    cfg.linkBitErrorRate = 1e-5;
+    cfg.faultSeed = 3;
+    cfg.degradeThreshold = 4;
+    RunResult t0 = expectEngineMatchesSingleQueue([&](unsigned t) {
+        return storagePlusRun("traffic_gen", cfg, t);
+    });
+    EXPECT_GT(t0.links.degradations, 0u);
+    EXPECT_GT(t0.links.retrains, 0u);
+}
+
+TEST(ParallelDeterminism, MultiDeviceBerNakAerMatchesSingleQueue)
+{
+    // An AER message takes at least its detector's lookahead to the
+    // root, so even a zero configured latency keeps the contract.
+    for (Tick aer_latency : {SystemConfig{}.aerMsgLatency, Tick{0}}) {
+        RunResult t0 = expectEngineMatchesSingleQueue([&](unsigned t) {
+            return topologyRun("multi_device.json", t,
+                               [&](SystemConfig &c) {
+                                   c.linkBitErrorRate = 1e-6;
+                                   c.enableNak = true;
+                                   c.aerEnabled = true;
+                                   c.aerMsgLatency = aer_latency;
+                               });
+        });
+        EXPECT_GT(t0.links.crcErrorsTlp + t0.links.crcErrorsDllp, 0u);
+        EXPECT_GT(t0.aerDelivered, 0u);
+    }
+}
+
+TEST(ParallelDeterminism, TwoDiskAerUnplugMatchesSingleQueue)
+{
+    SystemConfig cfg;
+    cfg.aerEnabled = true;
+    cfg.unplugAtChunk = 8;
+    RunResult t0 = expectEngineMatchesSingleQueue([&](unsigned t) {
+        return storagePlusRun("ide_disk", cfg, t);
+    });
+    EXPECT_EQ(t0.unplugs, 1u);
+    EXPECT_GE(t0.aerDelivered, 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ExampleTopologies, TopologyDeterminism,
     ::testing::Values("storage.json", "baseline.json", "nic.json",
                       "nic_loopback.json", "multi_device.json",
-                      "tree3.json"),
+                      "tree3.json", "faulty_multi_device.json"),
     [](const ::testing::TestParamInfo<const char *> &info) {
         const std::string file = info.param;
         return file.substr(0, file.find('.'));

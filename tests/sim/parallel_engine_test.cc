@@ -3,9 +3,9 @@
  * Unit tests for the quantum-synchronized parallel engine
  * (sim/parallel.hh, DESIGN.md Sec. 10), driven directly through a
  * partitioned Simulation rather than a full topology: the edge
- * cases here — an arrival landing exactly on a window boundary, a
- * mailed event descheduled before or after its barrier applies,
- * two domains posting to each other inside one quantum — are the
+ * cases here — an arrival landing exactly on a window boundary,
+ * calls posted in one window and due in another, two domains
+ * posting to each other inside one quantum — are the
  * ones a topology only hits under rare timing alignments.
  */
 
@@ -105,90 +105,56 @@ TEST(ParallelEngineTest, CrossDomainPostOnExactQuantumBoundary)
     EXPECT_EQ(fired_at, 10 + quantum);
 }
 
-TEST(ParallelEngineTest, MailedEventDeschedulesBeforeFiring)
+TEST(ParallelEngineTest, MailedCallsFromOneFiringKeepFifoOrder)
 {
-    // Schedule-then-deschedule of the same remote event inside one
-    // window: both operations sit in the same mailbox and apply in
-    // FIFO order at the barrier, so the event must never fire.
+    // Two calls posted to the same tick from one firing sit in the
+    // same outbox and carry the same post tick: they fire in the
+    // order they were posted.
     TwoDomainSim t(2);
-    int fires = 0;
-    EventFunctionWrapper victim([&] { ++fires; }, "test.victim");
+    std::vector<std::string> log;
     EventFunctionWrapper poster(
         [&] {
-            ParallelEngine &eng = *par::activeEngine;
+            ParallelEngine &eng = *t.sim.engine();
             EventQueue &remote = t.sim.domainQueue(1);
-            eng.postSchedule(remote, victim,
-                             t.sim.curTick() + 2 * quantum);
-            eng.postDeschedule(remote, victim);
+            const Tick at = t.sim.curTick() + 2 * quantum;
+            eng.postCall(remote, at, [&] { log.push_back("first"); });
+            eng.postCall(remote, at, [&] { log.push_back("second"); });
         },
         "test.poster");
     t.sim.domainQueue(0).schedule(&poster, 0);
 
     t.sim.run();
-    EXPECT_EQ(fires, 0);
-    EXPECT_FALSE(victim.scheduled());
+    EXPECT_EQ(log, (std::vector<std::string>{"first", "second"}));
 }
 
-TEST(ParallelEngineTest, MailedEventDeschedulesFromLaterWindow)
+TEST(ParallelEngineTest, MailedCallFromLaterWindowFiresByTick)
 {
-    // The deschedule arrives one window after the schedule: by then
-    // the event sits in the remote heap but has not fired (it was
-    // posted two quanta out), so the cancel must still win.
+    // A call posted one window later but due earlier fires first:
+    // the barrier keys each post into the destination's heap; it
+    // does not replay the mailboxes in post order.
     TwoDomainSim t(2);
-    int fires = 0;
-    EventFunctionWrapper victim([&] { ++fires; }, "test.victim");
-    EventFunctionWrapper cancel(
+    std::vector<std::string> log;
+    EventFunctionWrapper later(
         [&] {
-            par::activeEngine->postDeschedule(t.sim.domainQueue(1),
-                                              victim);
+            t.sim.engine()->postCall(t.sim.domainQueue(1),
+                                     t.sim.curTick() + quantum,
+                                     [&] { log.push_back("later"); });
         },
-        "test.cancel");
+        "test.later");
     EventFunctionWrapper poster(
         [&] {
-            par::activeEngine->postSchedule(
-                t.sim.domainQueue(1), victim,
-                t.sim.curTick() + 3 * quantum);
-            // Fire the canceller in the next window.
+            t.sim.engine()->postCall(t.sim.domainQueue(1),
+                                     t.sim.curTick() + 3 * quantum,
+                                     [&] { log.push_back("earlier"); });
+            // Post the second call in the next window.
             t.sim.domainQueue(0).schedule(
-                &cancel, t.sim.curTick() + quantum);
+                &later, t.sim.curTick() + quantum);
         },
         "test.poster");
     t.sim.domainQueue(0).schedule(&poster, 0);
 
     t.sim.run();
-    EXPECT_EQ(fires, 0);
-    EXPECT_FALSE(victim.scheduled());
-}
-
-TEST(ParallelEngineTest, DescheduleAfterRemoteEventFiredIsTolerated)
-{
-    // A cancel can race the event in simulated time: posted in the
-    // window after the event already fired. applyMailboxes() must
-    // treat the no-longer-scheduled event as a no-op.
-    TwoDomainSim t(2);
-    int fires = 0;
-    EventFunctionWrapper victim([&] { ++fires; }, "test.victim");
-    EventFunctionWrapper cancel(
-        [&] {
-            par::activeEngine->postDeschedule(t.sim.domainQueue(1),
-                                              victim);
-        },
-        "test.cancel");
-    EventFunctionWrapper poster(
-        [&] {
-            par::activeEngine->postSchedule(
-                t.sim.domainQueue(1), victim,
-                t.sim.curTick() + quantum);
-            // By 3 quanta the victim has long fired.
-            t.sim.domainQueue(0).schedule(
-                &cancel, t.sim.curTick() + 3 * quantum);
-        },
-        "test.poster");
-    t.sim.domainQueue(0).schedule(&poster, 0);
-
-    t.sim.run();
-    EXPECT_EQ(fires, 1);
-    EXPECT_FALSE(victim.scheduled());
+    EXPECT_EQ(log, (std::vector<std::string>{"later", "earlier"}));
 }
 
 TEST(ParallelEngineTest, MutualPostsInSameQuantum)
@@ -271,10 +237,10 @@ TEST(ParallelEngineTest, ThousandDomainsDrainInDestSourceFifoOrder)
 {
     // One window of a 1000-domain engine touches a handful of
     // domain pairs: three sources post to domain 3, and domain 42
-    // posts to three destinations. The barrier applies domain 3's
-    // posts by source, then in FIFO order within a source, which
-    // shows where two sources (or one source twice) schedule and
-    // deschedule the same event: a and c fire, b and d do not.
+    // posts to three destinations. Every call lands on its
+    // destination at its tick; calls due at one tick fire by post
+    // tick (domain 5 posts first, then 17, then 900) and, within a
+    // source, in FIFO order.
     constexpr unsigned domains = 1000;
     constexpr unsigned sink = 3;
     constexpr Tick at = 10 + 2 * quantum;
@@ -294,34 +260,18 @@ TEST(ParallelEngineTest, ThousandDomainsDrainInDestSourceFifoOrder)
                             std::to_string(cur->domainId()) + "/" +
                             std::to_string(sim.curTick()));
         };
-        EventFunctionWrapper a([&] { note("a"); }, "test.a");
-        EventFunctionWrapper b([&] { note("b"); }, "test.b");
-        EventFunctionWrapper c([&] { note("c"); }, "test.c");
-        EventFunctionWrapper d([&] { note("d"); }, "test.d");
+        auto post = [&](const std::vector<std::string> &names) {
+            for (const std::string &n : names)
+                eng.postCall(q, at, [&note, n] { note(n); });
+        };
 
-        // Domain 900's schedule of a lands after domain 5's
-        // deschedule (a no-op); domain 5's schedule of d lands
-        // before domain 900's deschedule.
-        EventFunctionWrapper from900(
-            [&] {
-                eng.postSchedule(q, a, at);
-                eng.postDeschedule(q, d);
-            },
-            "test.from900");
-        EventFunctionWrapper from5(
-            [&] {
-                eng.postDeschedule(q, a);
-                eng.postSchedule(q, d, at);
-            },
-            "test.from5");
-        // One source, FIFO: b is cancelled, c is not.
+        EventFunctionWrapper from900([&] { post({"a900", "b900"}); },
+                                     "test.from900");
+        EventFunctionWrapper from5([&] { post({"a5", "b5"}); },
+                                   "test.from5");
+        // One source, FIFO.
         EventFunctionWrapper from17(
-            [&] {
-                eng.postSchedule(q, b, at);
-                eng.postDeschedule(q, b);
-                eng.postDeschedule(q, c);
-                eng.postSchedule(q, c, at + 1);
-            },
+            [&] { post({"a17", "b17", "c17", "d17"}); },
             "test.from17");
         // Domain 42 fans out to three destinations; fired is
         // written by one domain per window, so the three calls
@@ -336,14 +286,12 @@ TEST(ParallelEngineTest, ThousandDomainsDrainInDestSourceFifoOrder)
                              [&] { note("call"); });
             },
             "test.from42");
-        sim.domainQueue(900).schedule(&from900, 10);
+        sim.domainQueue(900).schedule(&from900, 12);
         sim.domainQueue(5).schedule(&from5, 10);
-        sim.domainQueue(17).schedule(&from17, 10);
+        sim.domainQueue(17).schedule(&from17, 11);
         sim.domainQueue(42).schedule(&from42, 10);
         sim.run();
 
-        EXPECT_FALSE(b.scheduled());
-        EXPECT_FALSE(d.scheduled());
         if (prof::compiledIn) {
             std::uint64_t sent = 0;
             std::uint64_t received = 0;
@@ -365,10 +313,10 @@ TEST(ParallelEngineTest, ThousandDomainsDrainInDestSourceFifoOrder)
         return fired;
     };
 
-    const std::string t = std::to_string(at);
+    const std::string t = "@3/" + std::to_string(at);
     const std::vector<std::string> expected{
-        "a@3/" + t,
-        "c@3/" + std::to_string(at + 1),
+        "a5" + t,   "b5" + t,   "a17" + t,  "b17" + t,
+        "c17" + t,  "d17" + t,  "a900" + t, "b900" + t,
         "call@999/" + std::to_string(at + 2 * quantum),
         "call@0/" + std::to_string(at + 3 * quantum),
         "call@500/" + std::to_string(at + 4 * quantum),

@@ -6,11 +6,13 @@
  * thread count: every window would run inline, so the engine adds
  * only cost. The choice is silent, because the thread count changes
  * only wall time. A fabric with two or more device domains is cut
- * at its links, unless a configuration pins it (warned).
+ * at its links, error path included, unless periodic stats
+ * sampling or dump epochs pin it (warned).
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -28,16 +30,18 @@ struct BuiltRun
     std::string warnings;
 };
 
-/** Build examples/topologies/@p file at @p threads and drive it:
- *  a 1 MiB dd when it has a disk, direct writes otherwise. */
+/** Build examples/topologies/@p file at @p threads, after @p tweak
+ *  edits its configuration, and drive it: a 1 MiB dd when it has a
+ *  disk, direct writes otherwise. */
 BuiltRun
 runTopology(const std::string &file, unsigned threads,
-            double bit_error_rate = 0.0)
+            const std::function<void(SystemConfig &)> &tweak = {})
 {
     FabricDesc desc =
         loadFabricDesc(std::string(PCIESIM_TOPOLOGY_DIR) + "/" + file);
+    if (tweak)
+        tweak(desc.config);
     desc.config.threads = threads;
-    desc.config.linkBitErrorRate = bit_error_rate;
     Simulation sim;
     ::testing::internal::CaptureStderr();
     BuiltRun r;
@@ -87,13 +91,32 @@ TEST(PartitionChoice, MultiDeviceIsPartitionedAtOneThread)
         << t1.warnings;
 }
 
+TEST(PartitionChoice, ErrorPathMultiDeviceIsPartitionedAtOneThread)
+{
+    // Bit errors, NAK recovery and AER travel between domains as
+    // keyed messages, so they no longer pin the fabric.
+    setInformEnabled(false);
+    const BuiltRun t1 =
+        runTopology("multi_device.json", 1, [](SystemConfig &c) {
+            c.linkBitErrorRate = 1e-6;
+            c.enableNak = true;
+            c.aerEnabled = true;
+        });
+    EXPECT_TRUE(t1.engine);
+    EXPECT_EQ(t1.warnings.find("--threads"), std::string::npos)
+        << t1.warnings;
+}
+
 TEST(PartitionChoice, PinnedMultiDeviceFabricWarns)
 {
     setInformEnabled(false);
-    const BuiltRun t1 = runTopology("multi_device.json", 1, 1e-9);
+    const BuiltRun t1 =
+        runTopology("multi_device.json", 1, [](SystemConfig &c) {
+            c.statsSampleInterval = 10'000'000;
+        });
     EXPECT_FALSE(t1.engine);
-    EXPECT_NE(t1.warnings.find("link fault injection (BER > 0) pins "
-                               "the fabric to one event-queue domain"),
+    EXPECT_NE(t1.warnings.find("periodic stats sampling pins the "
+                               "fabric to one event-queue domain"),
               std::string::npos)
         << t1.warnings;
 }

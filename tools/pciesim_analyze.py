@@ -145,11 +145,9 @@ SCHEDULE_RE = re.compile(
 OWN_QUEUE_RECEIVERS = {"homeQueue_", "eventq()", "this"}
 
 # Files implementing the sanctioned cross-domain machinery: the
-# parallel engine itself, the PcieLink mailbox paths, and the AER
-# error-message reporter (which posts ERR_* delivery to the root
-# complex's home queue by design — DESIGN.md §12).
-CROSS_DOMAIN_FILES = ("sim/parallel.cc", "pcie/pcie_link.cc",
-                      "pcie/err_reporter.cc")
+# parallel engine itself and the PcieLink mailbox paths. Everything
+# else crosses domains through Simulation::callAt (DESIGN.md §10).
+CROSS_DOMAIN_FILES = ("sim/parallel.cc", "pcie/pcie_link.cc")
 
 STATIC_DECL_RE = re.compile(
     r"^\s*static\s+(?!constexpr\b|const\b|class\b|struct\b|enum\b)"

@@ -23,8 +23,10 @@ decodeSourceId(std::uint16_t id)
 } // namespace
 
 AerHandler::AerHandler(Kernel &kernel, Bdf root_bdf,
+                       ConfigRoute route,
                        const AerHandlerParams &params)
-    : kernel_(kernel), rootBdf_(root_bdf), params_(params)
+    : kernel_(kernel), rootBdf_(root_bdf),
+      configRoute_(std::move(route)), params_(params)
 {
     errsSeen_.init(3);
     errsSeen_.subname(0, "cor");
@@ -88,45 +90,77 @@ AerHandler::serviceRootStatus()
         // Log-and-clear: correctable errors were already handled by
         // hardware; software just clears the source's status.
         Bdf src = decodeSourceId(source & 0xffff);
-        std::uint32_t dev_status = kernel_.configRead(
-            src, base + cfg::aerCorrStatus, 4);
-        kernel_.configWrite(src, base + cfg::aerCorrStatus, 4,
-                            dev_status);
+        configRoute_(
+            src,
+            [this, src] {
+                const unsigned reg =
+                    cfg::extendedCapBase + cfg::aerCorrStatus;
+                std::uint32_t dev_status =
+                    kernel_.configRead(src, reg, 4);
+                kernel_.configWrite(src, reg, 4, dev_status);
+                return dev_status;
+            },
+            [](std::uint32_t) {});
     }
     if (nonfatal || fatal) {
+        // Non-fatal: the status is cleared in the same visit and
+        // the requester already degraded the failed op locally.
         Bdf victim = decodeSourceId((source >> 16) & 0xffff);
-        std::uint32_t unc_status = kernel_.configRead(
-            victim, base + cfg::aerUncorrStatus, 4);
-        inform("aer: ", fatal ? "FATAL" : "non-fatal",
-               " error from ", victim.toString(),
-               ", uncorrectable status 0x", std::hex, unc_status,
-               std::dec);
-        TRACE_MSG(trace::Flag::Rc, kernel_.curTick(),
-                  "system.aerHandler", fatal ? "fatal" : "nonfatal",
-                  " error from ", victim.toString());
-        if (!fatal) {
-            // Non-fatal: clear the status and carry on; the
-            // requester already degraded the failed op locally.
-            kernel_.configWrite(victim, base + cfg::aerUncorrStatus,
-                                4, unc_status);
-            return;
-        }
-        // Fatal: the link below the victim is down. Tear the
-        // drivers' in-flight work down now, then reset once the
-        // device answers configuration cycles again.
-        for (AerRecoveryClient *c : clients_)
-            c->surpriseRemove(victim);
-        kernel_.defer(params_.resetDelay, [this, victim] {
-            resetFunction(victim, 0);
-        });
+        configRoute_(
+            victim,
+            [this, victim, fatal] {
+                const unsigned reg =
+                    cfg::extendedCapBase + cfg::aerUncorrStatus;
+                std::uint32_t unc_status =
+                    kernel_.configRead(victim, reg, 4);
+                if (!fatal)
+                    kernel_.configWrite(victim, reg, 4, unc_status);
+                return unc_status;
+            },
+            [this, victim, fatal](std::uint32_t unc_status) {
+                uncorrectableRead(victim, fatal, unc_status);
+            });
     }
+}
+
+void
+AerHandler::uncorrectableRead(Bdf victim, bool fatal,
+                              std::uint32_t unc_status)
+{
+    inform("aer: ", fatal ? "FATAL" : "non-fatal", " error from ",
+           victim.toString(), ", uncorrectable status 0x", std::hex,
+           unc_status, std::dec);
+    TRACE_MSG(trace::Flag::Rc, kernel_.curTick(), "system.aerHandler",
+              fatal ? "fatal" : "nonfatal", " error from ",
+              victim.toString());
+    if (!fatal)
+        return;
+    // Fatal: the link below the victim is down. Tear the drivers'
+    // in-flight work down now, then reset once the device answers
+    // configuration cycles again.
+    for (AerRecoveryClient *c : clients_)
+        c->surpriseRemove(victim);
+    kernel_.defer(params_.resetDelay,
+                  [this, victim] { resetFunction(victim, 0); });
 }
 
 void
 AerHandler::resetFunction(Bdf victim, unsigned polls)
 {
-    std::uint32_t vendor =
-        kernel_.configRead(victim, cfg::vendorId, 2);
+    configRoute_(
+        victim,
+        [this, victim] {
+            return kernel_.configRead(victim, cfg::vendorId, 2);
+        },
+        [this, victim, polls](std::uint32_t vendor) {
+            presenceRead(victim, polls, vendor);
+        });
+}
+
+void
+AerHandler::presenceRead(Bdf victim, unsigned polls,
+                         std::uint32_t vendor)
+{
     if (vendor == 0xffff) {
         if (polls >= params_.maxPolls) {
             warn("aer: giving up recovery of ", victim.toString(),
@@ -142,13 +176,27 @@ AerHandler::resetFunction(Bdf victim, unsigned polls)
     // pci_save_state / FLR / pci_restore_state: preserve the
     // command enables across the reset so the function keeps
     // decoding its BARs and mastering the bus.
-    std::uint32_t command =
-        kernel_.configRead(victim, cfg::command, 2);
-    PciFunction *fn = kernel_.pciHost().lookup(victim);
-    panicIf(fn == nullptr, "aer: reset target ", victim.toString(),
-            " is not in the PCI registry");
-    fn->functionLevelReset();
-    kernel_.configWrite(victim, cfg::command, 2, command);
+    configRoute_(
+        victim,
+        [this, victim] {
+            std::uint32_t command =
+                kernel_.configRead(victim, cfg::command, 2);
+            PciFunction *fn = kernel_.pciHost().lookup(victim);
+            panicIf(fn == nullptr, "aer: reset target ",
+                    victim.toString(),
+                    " is not in the PCI registry");
+            fn->functionLevelReset();
+            kernel_.configWrite(victim, cfg::command, 2, command);
+            return command;
+        },
+        [this, victim, polls](std::uint32_t) {
+            resetDone(victim, polls);
+        });
+}
+
+void
+AerHandler::resetDone(Bdf victim, unsigned polls)
+{
     ++funcResets_;
     inform("aer: reset ", victim.toString(), " after ", polls,
            " presence polls; resuming drivers");

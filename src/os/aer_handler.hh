@@ -58,11 +58,28 @@ struct AerHandlerParams
  * The kernel's AER interrupt handler and recovery engine.
  * Construct only on AER-enabled configurations: its stats are
  * registered in the kernel's registry at construction.
+ *
+ * The root's error status block is read in place. Every other
+ * function is reached through a config transaction over the
+ * ConfigRoute, which runs it on the function's own queue and
+ * answers on the handler's, so the handler never touches a device's
+ * registers from another domain.
  */
 class AerHandler
 {
   public:
-    AerHandler(Kernel &kernel, Bdf root_bdf,
+    /** One visit to a function's configuration space; returns the
+     *  value the transaction reads back. */
+    using ConfigOp = std::function<std::uint32_t()>;
+    /** Runs a ConfigOp against the function at a Bdf and hands its
+     *  result to a continuation on the handler's queue (wired by
+     *  the builder: each leg takes at least the lookahead between
+     *  the root and the function). */
+    using ConfigRoute =
+        std::function<void(Bdf, ConfigOp,
+                           std::function<void(std::uint32_t)>)>;
+
+    AerHandler(Kernel &kernel, Bdf root_bdf, ConfigRoute route,
                const AerHandlerParams &params = {});
 
     /** Register a driver to coordinate recovery with. */
@@ -96,10 +113,20 @@ class AerHandler
   private:
     void handleIrq();
     void serviceRootStatus();
+    /** Log an uncorrectable error read back from @p victim; on
+     *  FATAL, start the driver teardown and the reset. */
+    void uncorrectableRead(Bdf victim, bool fatal,
+                           std::uint32_t unc_status);
+    /** Presence poll number @p polls of a fatal victim. */
     void resetFunction(Bdf victim, unsigned polls);
+    /** The victim answered: save its command enables, FLR it and
+     *  restore them, then resume. */
+    void presenceRead(Bdf victim, unsigned polls, std::uint32_t vendor);
+    void resetDone(Bdf victim, unsigned polls);
 
     Kernel &kernel_;
     Bdf rootBdf_;
+    ConfigRoute configRoute_;
     AerHandlerParams params_;
     std::function<void()> irqAck_;
     std::function<void(Bdf)> releaseHook_;

@@ -165,23 +165,23 @@ runFabric(JsonEmitter &json, const std::string &label,
 
     WallTimer run_timer;
     double gbps = 0.0;
+    bool ran_dd = false;
     if (fabric.numTrafficGens() > 0) {
         gbps = fabric.runDirectWrites(bursts, burst_bytes);
     } else if (fabric.numDisks() > 0) {
         DdWorkloadParams dd;
         dd.blockBytes = 1 << 20;
         gbps = fabric.runDd(dd);
+        ran_dd = true;
     } else {
         fabric.boot();
     }
     double wall_ms = run_timer.elapsedMs();
-    // Direct-drive runs bypass Fabric::runDd, which is where the
-    // registry export normally happens; honor --stats-json here so
-    // the determinism gates can diff the full registry.
-    if (!globalArgs().statsJsonOut.empty() &&
-        fabric.numDisks() == 0) {
+    // Only Fabric::runDd exports the registry itself; honor
+    // --stats-json after every other run path so the determinism
+    // gates can diff the full registry.
+    if (!globalArgs().statsJsonOut.empty() && !ran_dd)
         fabric.exportStatsJson(globalArgs().statsJsonOut);
-    }
 
     unsigned endpoints = fabric.numTrafficGens() +
                          fabric.numDisks() + fabric.numNics();

@@ -11,6 +11,7 @@ MasterPort::bind(SlavePort &peer)
             "slave port '", peer.name(), "' already bound");
     peer_ = &peer;
     peer.peer_ = this;
+    RoutingGeneration::bump();
 }
 
 SlavePort &

@@ -16,6 +16,8 @@
 #ifndef PCIESIM_MEM_PORT_HH
 #define PCIESIM_MEM_PORT_HH
 
+#include <atomic>
+#include <cstdint>
 #include <string>
 
 #include "mem/addr_range.hh"
@@ -27,6 +29,32 @@ namespace pciesim
 
 class SlavePort;
 class MasterPort;
+
+/**
+ * The routing generation: a process-wide count of the changes that
+ * can alter routing state, i.e. what a slave port's getAddrRanges()
+ * returns or which windows and bus numbers a bridge decodes. Port
+ * binding and every configuration-space mutation bump it. A routing
+ * cache (an XBar's route table, a VP2P's decoded windows) records
+ * the generation it was built at and rebuilds when the count has
+ * moved (DESIGN.md §5). Configuration writes land on every link
+ * domain's worker, so the count is atomic.
+ */
+class RoutingGeneration
+{
+  public:
+    static std::uint64_t
+    current()
+    {
+        return count_.load(std::memory_order_relaxed);
+    }
+
+    static void bump() { count_.fetch_add(1, std::memory_order_relaxed); }
+
+  private:
+    /** Starts at 1, so a cache stamped 0 was never built. */
+    static inline std::atomic<std::uint64_t> count_{1};
+};
 
 /** Common port state: a name and a peer. */
 class Port

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/invariant.hh"
+
 namespace pciesim
 {
 
@@ -214,7 +216,7 @@ XBar::routedRanges() const
 }
 
 int
-XBar::route(Addr addr) const
+XBar::scanRoute(Addr addr) const
 {
     for (std::size_t i = 0; i < masterPorts_.size(); ++i) {
         for (const auto &r : masterPorts_[i]->peer().getAddrRanges()) {
@@ -223,6 +225,35 @@ XBar::route(Addr addr) const
         }
     }
     return defaultPortIdx_;
+}
+
+int
+XBar::route(Addr addr)
+{
+    // Rebuild when any port binding or configuration space has
+    // changed since the last build (a peer's ranges can follow a
+    // BAR or a bridge window). The generation is read first, so a
+    // change during the rebuild leaves the table stale.
+    const std::uint64_t gen = RoutingGeneration::current();
+    if (routesGeneration_ != gen) [[unlikely]] {
+        routes_.clear();
+        for (std::size_t i = 0; i < masterPorts_.size(); ++i) {
+            for (const auto &r : masterPorts_[i]->peer().getAddrRanges())
+                routes_.push_back({r, static_cast<int>(i)});
+        }
+        routesGeneration_ = gen;
+    }
+    int idx = defaultPortIdx_;
+    for (const Route &r : routes_) {
+        if (r.range.contains(addr)) {
+            idx = r.port;
+            break;
+        }
+    }
+    PCIESIM_AUDIT(idx == scanRoute(addr), "xbar '", name(),
+                  "' routes ", addr,
+                  " by a stale table at routing generation ", gen);
+    return idx;
 }
 
 bool
@@ -241,7 +272,7 @@ XBar::forwardRequest(const PacketPtr &pkt, XBarSlavePort *src)
 
     ++reqPackets_;
     if (pkt->needsResponse())
-        routeBack_[pkt->id()] = src;
+        routeBack_.emplace_back(pkt->id(), src);
     dst->queueReq(pkt, curTick() + params_.frontendLatency);
     return true;
 }
@@ -249,7 +280,10 @@ XBar::forwardRequest(const PacketPtr &pkt, XBarSlavePort *src)
 bool
 XBar::forwardResponse(const PacketPtr &pkt, XBarMasterPort *from)
 {
-    auto it = routeBack_.find(pkt->id());
+    auto it = std::find_if(routeBack_.begin(), routeBack_.end(),
+                           [id = pkt->id()](const auto &e) {
+                               return e.first == id;
+                           });
     panicIf(it == routeBack_.end(),
             "xbar '", name(), "': response for unknown request ",
             pkt->toString());

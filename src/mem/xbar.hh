@@ -6,10 +6,11 @@
  * (off-chip, the paper's baseline device attachment).
  *
  * Requests are routed to the master port whose peer slave claims the
- * packet address; responses are routed back to the slave port the
- * request arrived on. Each egress direction has a bounded queue with
- * a per-packet occupancy derived from the crossbar width, plus a
- * fixed forwarding (header) latency.
+ * packet address, looked up in a flat route table rebuilt whenever
+ * the RoutingGeneration moves (DESIGN.md §5); responses are routed
+ * back to the slave port the request arrived on. Each egress
+ * direction has a bounded queue with a per-packet occupancy derived
+ * from the crossbar width, plus a fixed forwarding (header) latency.
  */
 
 #ifndef PCIESIM_MEM_XBAR_HH
@@ -17,7 +18,7 @@
 
 #include <deque>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mem/packet.hh"
@@ -76,8 +77,18 @@ class XBar : public SimObject
     class XBarSlavePort;
     class XBarMasterPort;
 
+    /** One routed range and the master port that leads to it. */
+    struct Route
+    {
+        AddrRange range;
+        int port;
+    };
+
     /** Route a request to a master port index; -1 with no match. */
-    int route(Addr addr) const;
+    int route(Addr addr);
+
+    /** route() by a fresh scan of every peer's ranges (audits). */
+    int scanRoute(Addr addr) const;
 
     /** Per-packet data-path occupancy for egress queues. */
     Tick occupancy() const;
@@ -89,8 +100,14 @@ class XBar : public SimObject
     std::vector<std::unique_ptr<XBarSlavePort>> slavePorts_;
     std::vector<std::unique_ptr<XBarMasterPort>> masterPorts_;
     int defaultPortIdx_ = -1;
-    /** Outstanding request id -> originating slave port. */
-    std::unordered_map<std::uint64_t, XBarSlavePort *> routeBack_;
+    /** Every peer's ranges in port order, and the RoutingGeneration
+     *  they were read at. */
+    std::vector<Route> routes_;
+    std::uint64_t routesGeneration_ = 0;
+    /** Outstanding requests, oldest first: (request id, originating
+     *  slave port). Few are in flight and responses mostly return
+     *  in order, so a scan from the front beats a hash map. */
+    std::vector<std::pair<std::uint64_t, XBarSlavePort *>> routeBack_;
 
     stats::Counter reqPackets_;
     stats::Counter respPackets_;

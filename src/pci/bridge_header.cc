@@ -125,20 +125,6 @@ BridgeHeader::prefWindow(const ConfigSpace &space)
     return {base, limit + 1};
 }
 
-bool
-BridgeHeader::busInRange(const ConfigSpace &space, unsigned bus)
-{
-    return bus >= secondaryBus(space) && bus <= subordinateBus(space);
-}
-
-bool
-BridgeHeader::windowsContain(const ConfigSpace &space, Addr addr)
-{
-    return ioWindow(space).contains(addr) ||
-           memWindow(space).contains(addr) ||
-           prefWindow(space).contains(addr);
-}
-
 void
 BridgeHeader::programBusNumbers(ConfigSpace &space, unsigned pri,
                                 unsigned sec, unsigned sub)

@@ -53,12 +53,6 @@ struct BridgeHeader
     /** Decoded prefetchable memory window. */
     static AddrRange prefWindow(const ConfigSpace &space);
 
-    /** Whether @p bus lies in [secondary, subordinate]. */
-    static bool busInRange(const ConfigSpace &space, unsigned bus);
-
-    /** Whether @p addr falls in any of the bridge's windows. */
-    static bool windowsContain(const ConfigSpace &space, Addr addr);
-
     /** @{ Software-style window programming helpers (used by the
      *     enumerator; equivalent to the register writes a kernel
      *     performs). */

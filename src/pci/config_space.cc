@@ -1,5 +1,6 @@
 #include "config_space.hh"
 
+#include "mem/port.hh"
 #include "sim/logging.hh"
 
 namespace pciesim
@@ -38,12 +39,14 @@ ConfigSpace::write(unsigned offset, unsigned size, std::uint32_t value)
         data_[offset + i] =
             (data_[offset + i] & ~mask) | (byte & mask);
     }
+    RoutingGeneration::bump();
 }
 
 void
 ConfigSpace::init8(unsigned offset, std::uint8_t v)
 {
     data_[offset] = v;
+    RoutingGeneration::bump();
 }
 
 void
@@ -51,6 +54,7 @@ ConfigSpace::init16(unsigned offset, std::uint16_t v)
 {
     data_[offset] = v & 0xff;
     data_[offset + 1] = (v >> 8) & 0xff;
+    RoutingGeneration::bump();
 }
 
 void
@@ -58,6 +62,7 @@ ConfigSpace::init32(unsigned offset, std::uint32_t v)
 {
     for (unsigned i = 0; i < 4; ++i)
         data_[offset + i] = (v >> (8 * i)) & 0xff;
+    RoutingGeneration::bump();
 }
 
 void
@@ -65,6 +70,7 @@ ConfigSpace::init24(unsigned offset, std::uint32_t v)
 {
     for (unsigned i = 0; i < 3; ++i)
         data_[offset + i] = (v >> (8 * i)) & 0xff;
+    RoutingGeneration::bump();
 }
 
 void

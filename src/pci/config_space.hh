@@ -21,7 +21,10 @@ namespace pciesim
  * Software accesses go through read()/write(); write() honours the
  * per-bit write mask so read-only registers keep their hardware
  * values. The owning device initialises registers and masks with the
- * raw init*()/mask*() methods.
+ * raw init*()/mask*() methods. Every register mutation, write(),
+ * init*() and update16(), bumps the RoutingGeneration: bridge
+ * windows, bus numbers, command enables and BARs all live here, and
+ * the routing caches decoded from them rebuild on the next packet.
  */
 class ConfigSpace
 {

@@ -68,8 +68,7 @@ class PciDevice::DevDmaPort : public MasterPort
 
 PciDevice::PciDevice(Simulation &sim, const std::string &name,
                      const PciDeviceParams &params)
-    : SimObject(sim, name), PciFunction(name), params_(params),
-      barRaw_(params.bars.size(), 0)
+    : SimObject(sim, name), PciFunction(name), params_(params)
 {
     fatalIf(params_.bars.size() > cfg::numBars,
             "device '", name, "' has more than ", cfg::numBars, " BARs");
@@ -108,10 +107,10 @@ PciDevice::PciDevice(Simulation &sim, const std::string &name,
     config_.mask8(cfg::interruptLine, 0xff);
     config_.mask8(cfg::cacheLineSize, 0xff);
     config_.mask8(cfg::latencyTimer, 0xff);
-    // BAR registers: fully software writable; the read intercept
-    // applies the size mask, giving standard sizing semantics.
-    for (unsigned i = 0; i < params_.bars.size(); ++i)
-        config_.mask32(cfg::bar0 + 4 * i, 0xffffffff);
+    // BAR registers hold the raw value software last wrote as a
+    // dword: configWrite() stores it whole and the read intercept
+    // applies the size mask, giving standard sizing semantics. No
+    // write mask, so narrower writes leave a BAR as it is.
     installAer(false);
 }
 
@@ -159,7 +158,8 @@ PciDevice::configRead(unsigned offset, unsigned size)
             std::uint32_t flags = spec.isIo ? cfg::barIoSpace : 0;
             std::uint32_t value = spec.size == 0
                 ? 0
-                : (barRaw_[i] & ~(spec.size - 1)) | flags;
+                : (config_.raw32(bar_off) & ~(spec.size - 1)) |
+                      flags;
             unsigned shift = (offset - bar_off) * 8;
             return (value >> shift) &
                    (size == 4 ? 0xffffffffU
@@ -179,7 +179,7 @@ PciDevice::configWrite(unsigned offset, unsigned size,
     for (unsigned i = 0; i < params_.bars.size(); ++i) {
         unsigned bar_off = cfg::bar0 + 4 * i;
         if (offset == bar_off && size == 4) {
-            barRaw_[i] = value;
+            config_.init32(bar_off, value);
             return;
         }
     }
@@ -192,8 +192,8 @@ PciDevice::barAddr(unsigned bar) const
     const BarSpec &spec = params_.bars[bar];
     if (spec.size == 0)
         return 0;
-    return barRaw_[bar] & ~(static_cast<Addr>(spec.size) - 1) &
-           0xffffffffULL;
+    return config_.raw32(cfg::bar0 + 4 * bar) &
+           ~(static_cast<Addr>(spec.size) - 1) & 0xffffffffULL;
 }
 
 AddrRange

@@ -140,8 +140,6 @@ class PciDevice : public SimObject, public PciFunction
     std::unique_ptr<DevDmaPort> dmaPort_;
     std::unique_ptr<PacketQueue> pioRespQueue_;
     bool wantPioRetry_ = false;
-    /** Raw software-written BAR values (before masking). */
-    std::vector<std::uint32_t> barRaw_;
     bool present_ = true;
     bool intxAsserted_ = false;
     std::function<void(bool)> intxSink_;

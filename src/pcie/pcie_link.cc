@@ -545,12 +545,15 @@ LinkInterface::processAck(SeqNum seq)
                   " left acknowledged TLP in the replay queue");
 
     // Reset the replay timer; restart only while TLPs remain
-    // unacknowledged (paper Sec. V-C).
-    if (replayTimerEvent_.scheduled())
-        homeQueue_->deschedule(&replayTimerEvent_);
+    // unacknowledged (paper Sec. V-C). reschedule() re-keys an armed
+    // timer in place and draws its tie where schedule() would, so
+    // the timer's key, and the event order, match a deschedule and
+    // a fresh schedule.
     if (!replayBuffer_.empty()) {
-        homeQueue_->schedule(&replayTimerEvent_,
-                             homeQueue_->curTick() + replayTimeout_);
+        homeQueue_->reschedule(&replayTimerEvent_,
+                               homeQueue_->curTick() + replayTimeout_);
+    } else if (replayTimerEvent_.scheduled()) {
+        homeQueue_->deschedule(&replayTimerEvent_);
     }
 
     notifyExternalRetry();

@@ -322,7 +322,7 @@ PcieRouter::portContained(unsigned i) const
 }
 
 int
-PcieRouter::routeByAddress(Addr addr) const
+PcieRouter::routeByAddress(Addr addr)
 {
     for (unsigned i = 0; i < numDownstreamPorts(); ++i) {
         if (downVp2ps_[i]->claims(addr))
@@ -332,7 +332,7 @@ PcieRouter::routeByAddress(Addr addr) const
 }
 
 int
-PcieRouter::routeByBus(int bus) const
+PcieRouter::routeByBus(int bus)
 {
     if (bus < 0)
         return -1;

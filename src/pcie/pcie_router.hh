@@ -129,10 +129,6 @@ class PcieRouter : public SimObject
         return static_cast<unsigned>(role_.downVp2ps.size());
     }
 
-    /** Downstream port whose VP2P bus range covers @p bus; -1 when
-     *  none. */
-    int routeByBus(int bus) const;
-
     void init() override;
 
     /** Packets refused due to full port buffers. */
@@ -178,8 +174,11 @@ class PcieRouter : public SimObject
     /** Response (PIO or peer-to-peer) from a downstream port. */
     bool handleUpwardResponse(const PacketPtr &pkt);
 
-    /** Downstream port whose VP2P claims @p addr; -1 when none. */
-    int routeByAddress(Addr addr) const;
+    /** @{ Downstream port whose VP2P claims @p addr, or whose bus
+     *  range covers @p bus; -1 when none. */
+    int routeByAddress(Addr addr);
+    int routeByBus(int bus);
+    /** @} */
 
     /** Queue @p pkt on @p q after the router latency; false, with a
      *  refusal counted, when @p q is full. */

@@ -60,22 +60,17 @@ Vp2p::prefWindow() const
     return BridgeHeader::prefWindow(config_);
 }
 
-bool
-Vp2p::claims(Addr addr) const
+Vp2p::Routing
+Vp2p::decodeRouting() const
 {
-    return forwardingEnabled() &&
-           BridgeHeader::windowsContain(config_, addr);
-}
-
-bool
-Vp2p::busInRange(unsigned bus) const
-{
-    // An unconfigured bridge (secondary bus still 0) must not
-    // capture traffic: bus 0 is the root bus and is never
-    // downstream of a VP2P.
-    if (secondaryBus() == 0)
-        return false;
-    return BridgeHeader::busInRange(config_, bus);
+    Routing r;
+    r.forwarding = forwardingEnabled();
+    r.mem = memWindow();
+    r.io = ioWindow();
+    r.pref = prefWindow();
+    r.secondary = secondaryBus();
+    r.subordinate = subordinateBus();
+    return r;
 }
 
 bool

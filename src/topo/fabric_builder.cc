@@ -979,12 +979,19 @@ Fabric::containingSwitch(unsigned bus, int &port)
     // one fronting the failed subtree.
     Node *best = nullptr;
     port = -1;
+    // This runs on the root's domain, so it decodes each bridge
+    // afresh rather than touch the switch's routing cache.
     for (unsigned idx : switchIdx_) {
         Node &n = nodes_[idx];
-        int p = n.sw->routeByBus(static_cast<int>(bus));
-        if (p >= 0 && (best == nullptr || n.depth > best->depth)) {
-            best = &n;
-            port = p;
+        for (unsigned p = 0; p < n.sw->numDownstreamPorts(); ++p) {
+            if (!n.sw->downstreamVp2p(p).decodeRouting().busInRange(
+                    bus))
+                continue;
+            if (best == nullptr || n.depth > best->depth) {
+                best = &n;
+                port = static_cast<int>(p);
+            }
+            break;
         }
     }
     return best;

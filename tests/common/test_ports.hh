@@ -101,8 +101,6 @@ class RecordingSlavePort : public SlavePort
         return ranges_;
     }
 
-    void setRanges(AddrRangeList ranges) { ranges_ = std::move(ranges); }
-
     std::vector<PacketPtr> requests;
     std::function<void(const PacketPtr &)> onRequest;
     bool autoRespond = false;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "../common/test_ports.hh"
+#include "mem/xbar.hh"
 #include "pci/config_regs.hh"
 #include "pci/pci_device.hh"
 
@@ -110,6 +111,65 @@ TEST(PciDeviceTest, BarAssignmentAndDecode)
     EXPECT_TRUE(dev.memEnabled());
     EXPECT_TRUE(dev.ioEnabled());
     EXPECT_FALSE(dev.busMaster());
+}
+
+TEST(PciDeviceTest, NarrowBarWriteLeavesBarAsIs)
+{
+    Simulation sim;
+    ScratchDevice dev(sim, twoBarParams());
+    dev.configWrite(cfg::bar0, 4, 0x40000000);
+    dev.configWrite(cfg::bar0, 2, 0x1234);
+    dev.configWrite(cfg::bar0 + 2, 2, 0x5000);
+    EXPECT_EQ(dev.configRead(cfg::bar0, 4), 0x40000000u);
+    EXPECT_EQ(dev.barAddr(0), 0x40000000u);
+}
+
+TEST(PciDeviceTest, XBarFollowsReprogrammedBarAndCommand)
+{
+    // A crossbar routes by its peers' ranges, which here follow the
+    // device's BAR and command register; reprogramming either at
+    // run time must steer the very next packet.
+    Simulation sim;
+    XBar xbar(sim, "xbar");
+    ScratchDevice dev(sim, twoBarParams());
+    RecordingMasterPort cpu("cpu");
+    RecordingSlavePort other("other");
+    RecordingSlavePort dma_sink("dmaSink");
+    cpu.bind(xbar.addSlavePort("cpuSlave"));
+    xbar.addMasterPort("devMaster").bind(dev.pioPort());
+    MasterPort &fallback = xbar.addMasterPort("otherMaster");
+    fallback.bind(other);
+    xbar.setDefaultPort(fallback);
+    dev.dmaPort().bind(dma_sink);
+
+    dev.configWrite(cfg::bar0, 4, 0x40000000);
+    dev.configWrite(cfg::command, 2, cfg::cmdMemEnable);
+    sim.initialize();
+
+    auto read = [&](Addr addr) {
+        cpu.sendTimingReq(Packet::makeRequest(MemCmd::ReadReq, addr, 4));
+        sim.run();
+    };
+    read(0x40000010);
+    EXPECT_EQ(cpu.responses.size(), 1u);
+    EXPECT_TRUE(other.requests.empty());
+
+    // Move the BAR: the old address falls to the default port and
+    // the new one reaches the device.
+    dev.configWrite(cfg::bar0, 4, 0x50000000);
+    read(0x40000010);
+    ASSERT_EQ(other.requests.size(), 1u);
+    EXPECT_EQ(other.requests[0]->addr(), 0x40000010u);
+    read(0x50000010);
+    ASSERT_EQ(cpu.responses.size(), 2u);
+    EXPECT_EQ(cpu.responses[1]->addr(), 0x50000010u);
+
+    // Clear the memory enable: the BAR stops decoding.
+    dev.configWrite(cfg::command, 2, 0);
+    read(0x50000010);
+    ASSERT_EQ(other.requests.size(), 2u);
+    EXPECT_EQ(other.requests[1]->addr(), 0x50000010u);
+    EXPECT_EQ(cpu.responses.size(), 2u);
 }
 
 TEST(PciDeviceTest, PioReadReachesRegisterFile)

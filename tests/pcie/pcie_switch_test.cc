@@ -146,6 +146,85 @@ TEST_F(SwitchFixture, DownwardResponseRoutedByBusNumber)
     EXPECT_TRUE(downSrc[0].responses.empty());
 }
 
+TEST_F(SwitchFixture, ReprogrammedMemWindowsSteerNextRequest)
+{
+    programAll();
+    sim.initialize();
+
+    upSrc.sendTimingReq(Packet::makeRequest(MemCmd::ReadReq,
+                                            0x40100000, 4));
+    sim.run();
+    ASSERT_EQ(downSink[0].requests.size(), 1u);
+
+    // Swap the two downstream windows through software config
+    // writes: the next request to the same address leaves by port 1.
+    auto program_mem = [](Vp2p &vp, Addr base, Addr limit) {
+        vp.configWrite(cfg::memoryBase, 2, (base >> 16) & 0xfff0);
+        vp.configWrite(cfg::memoryLimit, 2, (limit >> 16) & 0xfff0);
+    };
+    program_mem(sw->downstreamVp2p(0), 0x40200000, 0x403fffff);
+    program_mem(sw->downstreamVp2p(1), 0x40000000, 0x401fffff);
+    upSrc.sendTimingReq(Packet::makeRequest(MemCmd::ReadReq,
+                                            0x40100000, 4));
+    sim.run();
+    EXPECT_EQ(downSink[0].requests.size(), 1u);
+    ASSERT_EQ(downSink[1].requests.size(), 1u);
+    EXPECT_EQ(downSink[1].requests[0]->addr(), 0x40100000u);
+}
+
+TEST_F(SwitchFixture, ReprogrammedBusNumbersSteerNextResponse)
+{
+    programAll();
+    sim.initialize();
+
+    auto round_trip = [&] {
+        PacketPtr pkt = Packet::makeRequest(MemCmd::ReadReq,
+                                            0x80000000, 4);
+        pkt->setPciBusNumber(4);
+        EXPECT_TRUE(sw->downstreamSlave(1).recvTimingReq(pkt));
+        sim.run();
+        pkt->makeResponse();
+        EXPECT_TRUE(sw->upstreamMasterPort().recvTimingResp(pkt));
+        sim.run();
+    };
+    round_trip();
+    EXPECT_EQ(downSrc[1].responses.size(), 1u);
+    EXPECT_TRUE(downSrc[0].responses.empty());
+
+    // Renumber: bus 4 now sits behind port 0, bus 3 behind port 1.
+    sw->downstreamVp2p(0).configWrite(cfg::secondaryBus, 1, 4);
+    sw->downstreamVp2p(0).configWrite(cfg::subordinateBus, 1, 4);
+    sw->downstreamVp2p(1).configWrite(cfg::secondaryBus, 1, 3);
+    sw->downstreamVp2p(1).configWrite(cfg::subordinateBus, 1, 3);
+    round_trip();
+    EXPECT_EQ(downSrc[0].responses.size(), 1u);
+    EXPECT_EQ(downSrc[1].responses.size(), 1u);
+}
+
+TEST_F(SwitchFixture, ClearedCommandEnableStopsClaiming)
+{
+    programAll();
+    sim.initialize();
+
+    // Peer-to-peer from port 1 into port 0's window goes across...
+    downSrc[1].sendTimingReq(Packet::makeRequest(MemCmd::WriteReq,
+                                                 0x40100000, 4));
+    sim.run();
+    ASSERT_EQ(downSink[0].requests.size(), 1u);
+    EXPECT_TRUE(upSink.requests.empty());
+
+    // ...until port 0's VP2P stops forwarding; then nothing below
+    // claims the address and the next request heads upstream.
+    sw->downstreamVp2p(0).configWrite(cfg::command, 2,
+                                      cfg::cmdBusMaster);
+    downSrc[1].sendTimingReq(Packet::makeRequest(MemCmd::WriteReq,
+                                                 0x40100000, 4));
+    sim.run();
+    EXPECT_EQ(downSink[0].requests.size(), 1u);
+    ASSERT_EQ(upSink.requests.size(), 1u);
+    EXPECT_EQ(upSink.requests[0]->addr(), 0x40100000u);
+}
+
 TEST_F(SwitchFixture, UpwardResponseWithForeignBusGoesUpstream)
 {
     programAll();

@@ -14,12 +14,19 @@
 # Invoked by ctest as:
 #   cmake -DBENCH_BIN=<bench> -DOUT_A=<file> -DOUT_B=<file> \
 #         [-DBENCH_ARGS=<arg;...>] [-DMASK_THREADS=ON] \
+#         [-DTHREADS_A=<n>] [-DSTATS_ONLY=ON] \
 #         -P bench_determinism_parallel.cmake
 #
 # BENCH_ARGS is appended to the bench's command line. MASK_THREADS
 # compares the stdout records with their "threads" field removed,
 # for a bench whose records report the thread count itself
-# (bench_fabric).
+# (bench_fabric). THREADS_A (default 1) is the first run's thread
+# count. STATS_ONLY compares only the stats.json, without its
+# system.parallel.* lines: with THREADS_A=0 one side runs on one
+# queue and the other on the engine, so the engine's telemetry
+# (those stats, and the engine fields of the stdout records)
+# exists on one side only, and every other stat must still agree.
+# A run that writes no stats.json fails the gate.
 
 if(NOT BENCH_BIN OR NOT OUT_A OR NOT OUT_B)
     message(FATAL_ERROR
@@ -28,10 +35,14 @@ if(NOT BENCH_BIN OR NOT OUT_A OR NOT OUT_B)
 endif()
 
 set(threads_a 1)
+if(DEFINED THREADS_A)
+    set(threads_a ${THREADS_A})
+endif()
 set(threads_b 4)
 foreach(pair "${OUT_A};${threads_a}" "${OUT_B};${threads_b}")
     list(GET pair 0 out)
     list(GET pair 1 nthreads)
+    file(REMOVE "${out}" "${out}.stats.json")
     execute_process(
         COMMAND "${BENCH_BIN}" --smoke --json --no-timing --profile
             "--threads" "${nthreads}"
@@ -55,7 +66,20 @@ if(MASK_THREADS)
     endforeach()
 endif()
 
-foreach(suffix "" ".stats.json")
+set(suffixes "" ".stats.json")
+if(STATS_ONLY)
+    set(suffixes ".stats.json")
+    foreach(out "${OUT_A}" "${OUT_B}")
+        # One stat per line: drop the engine's telemetry lines.
+        file(READ "${out}.stats.json" stats)
+        string(REGEX REPLACE
+            "\n[^\n]*\"name\": \"system\\.parallel\\.[^\n]*" ""
+            stats "${stats}")
+        file(WRITE "${out}.stats.json" "${stats}")
+    endforeach()
+endif()
+
+foreach(suffix ${suffixes})
     execute_process(
         COMMAND ${CMAKE_COMMAND} -E compare_files
             "${OUT_A}${suffix}" "${OUT_B}${suffix}"
@@ -64,7 +88,8 @@ foreach(suffix "" ".stats.json")
     if(NOT cmp_rv EQUAL 0)
         message(FATAL_ERROR
             "${BENCH_BIN} diverges across thread counts: "
-            "--threads 1 and --threads 4 produced different JSON "
+            "--threads ${threads_a} and --threads ${threads_b} "
+            "produced different JSON "
             "(${OUT_A}${suffix} vs ${OUT_B}${suffix})")
     endif()
 endforeach()

@@ -171,6 +171,10 @@ main(int argc, char **argv)
     setInformEnabled(false);
     BenchArgs args = parseArgs(argc, argv);
     JsonEmitter json("kernel", args.json);
+    // Write each record as its workload finishes, so a reader of a
+    // pipe can tell the workloads' CPU time apart
+    // (scripts/profiler_overhead_gate.sh times the mdev sweep).
+    std::setvbuf(stdout, nullptr, _IOLBF, 0);
 
     std::uint64_t churn_ops =
         args.scale == Scale::Smoke ? 100'000 : 20'000'000;

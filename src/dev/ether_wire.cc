@@ -69,7 +69,7 @@ EtherWire::deliver(unsigned to_end)
     unsigned from = to_end ^ 1;
     Direction &d = dirs_[from];
     panicIf(d.inFlight.empty(), "wire delivery with nothing queued");
-    EtherFrame frame = d.inFlight.front().second;
+    EtherFrame frame = std::move(d.inFlight.front().second);
     d.inFlight.pop_front();
     if (!d.inFlight.empty()) {
         eventq().schedule(d.deliverEvent.get(),

@@ -9,9 +9,9 @@
 #define PCIESIM_DEV_ETHER_WIRE_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "sim/ring_queue.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 
@@ -81,7 +81,7 @@ class EtherWire : public SimObject
     struct Direction
     {
         Tick busyUntil = 0;
-        std::deque<std::pair<Tick, EtherFrame>> inFlight;
+        RingQueue<std::pair<Tick, EtherFrame>> inFlight;
         std::unique_ptr<EventFunctionWrapper> deliverEvent;
     };
 

@@ -459,7 +459,7 @@ Nic8254xPcie::rxProcess()
     }
 
     rxBusy_ = true;
-    EtherFrame frame = rxPending_.front();
+    EtherFrame frame = std::move(rxPending_.front());
     rxPending_.pop_front();
 
     rxDescRaw_[0] = rxDescRaw_[1] = 0;

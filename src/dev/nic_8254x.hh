@@ -15,12 +15,12 @@
 #define PCIESIM_DEV_NIC_8254X_HH
 
 #include <array>
-#include <deque>
 #include <memory>
 
 #include "dev/dma_engine.hh"
 #include "dev/ether_wire.hh"
 #include "pci/pci_device.hh"
+#include "sim/ring_queue.hh"
 
 namespace pciesim
 {
@@ -165,7 +165,7 @@ class Nic8254xPcie : public PciDevice, public EtherSink
 
     NicParams nicParams_;
     std::unique_ptr<DmaEngine> engine_;
-    std::deque<DmaJob> dmaJobs_;
+    RingQueue<DmaJob> dmaJobs_;
     bool dmaBusy_ = false;
 
     EtherWire *wire_ = nullptr;
@@ -199,7 +199,7 @@ class Nic8254xPcie : public PciDevice, public EtherSink
     MemberEventWrapper<Nic8254xPcie, &Nic8254xPcie::txTransmit> txRetryEvent_;
 
     /** RX state. */
-    std::deque<EtherFrame> rxPending_;
+    RingQueue<EtherFrame> rxPending_;
     bool rxBusy_ = false;
     std::uint64_t rxDescRaw_[2] = {0, 0};
 

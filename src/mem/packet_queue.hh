@@ -11,12 +11,16 @@
  * (serviceInterval), which models a per-packet service occupancy —
  * this is how the IOCache drain rate and crossbar layer occupancy
  * are expressed.
+ *
+ * The packets wait in a RingQueue (sim/ring_queue.hh): push() moves
+ * the caller's reference in, and a slot releases its packet the
+ * moment the packet is sent or cleared, so the queue never holds a
+ * packet it no longer owns.
  */
 
 #ifndef PCIESIM_MEM_PACKET_QUEUE_HH
 #define PCIESIM_MEM_PACKET_QUEUE_HH
 
-#include <deque>
 #include <functional>
 #include <limits>
 #include <string>
@@ -25,6 +29,7 @@
 #include "sim/event.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
+#include "sim/ring_queue.hh"
 #include "sim/ticks.hh"
 
 namespace pciesim
@@ -78,10 +83,10 @@ class PacketQueue
      * full() and refuse upstream instead.
      */
     void
-    push(const PacketPtr &pkt, Tick ready)
+    push(PacketPtr pkt, Tick ready)
     {
         panicIf(full(), "push into full queue '", name_, "'");
-        queue_.push_back({pkt, ready});
+        queue_.push_back({std::move(pkt), ready});
         scheduleSend();
     }
 
@@ -164,7 +169,7 @@ class PacketQueue
     Tick serviceInterval_;
     MemberEventWrapper<PacketQueue, &PacketQueue::processSend> sendEvent_;
     std::function<void()> onSpaceFreed_;
-    std::deque<Entry> queue_;
+    RingQueue<Entry> queue_;
     Tick nextSendAllowed_ = 0;
     bool blocked_ = false;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/invariant.hh"
+#include "sim/ring_queue.hh"
 
 namespace pciesim
 {
@@ -62,7 +63,7 @@ class XBar::XBarSlavePort : public SlavePort
 
     XBar &xbar_;
     PacketQueue respQueue_;
-    std::deque<XBarMasterPort *> respWaiters_;
+    RingQueue<XBarMasterPort *> respWaiters_;
 };
 
 /**
@@ -116,7 +117,7 @@ class XBar::XBarMasterPort : public MasterPort
 
     XBar &xbar_;
     PacketQueue reqQueue_;
-    std::deque<XBarSlavePort *> reqWaiters_;
+    RingQueue<XBarSlavePort *> reqWaiters_;
 };
 
 void

@@ -16,7 +16,6 @@
 #ifndef PCIESIM_MEM_XBAR_HH
 #define PCIESIM_MEM_XBAR_HH
 
-#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>

@@ -224,8 +224,8 @@ E1000eDriver::resumeAfterReset(Bdf bdf)
     // software indices, reinitialise the MAC (the same sequence as
     // probe; onReady_ is already spent so it will not re-fire), and
     // retransmit the frames whose completions were lost.
-    std::deque<std::function<void()>> pending_done;
-    std::deque<unsigned> pending_lens;
+    RingQueue<std::function<void()>> pending_done;
+    RingQueue<unsigned> pending_lens;
     pending_done.swap(txDone_);
     pending_lens.swap(txLens_);
     txTail_ = 0;

@@ -16,6 +16,7 @@
 #include "dev/nic_8254x.hh"
 #include "os/aer_handler.hh"
 #include "os/kernel.hh"
+#include "sim/ring_queue.hh"
 
 namespace pciesim
 {
@@ -132,10 +133,10 @@ class E1000eDriver : public Driver, public AerRecoveryClient
     unsigned txHeadSw_ = 0; //!< oldest un-reclaimed TX descriptor
     unsigned rxHeadSw_ = 0; //!< next RX descriptor to check
 
-    std::deque<std::function<void()>> txDone_;
+    RingQueue<std::function<void()>> txDone_;
     /** Lengths of the frames behind txDone_, for retransmission
      *  after a surprise removal. */
-    std::deque<unsigned> txLens_;
+    RingQueue<unsigned> txLens_;
     /** Device surprise-removed; cleared by resumeAfterReset. */
     bool removed_ = false;
     std::function<void(unsigned)> onReceive_;

@@ -17,7 +17,6 @@
 #ifndef PCIESIM_OS_KERNEL_HH
 #define PCIESIM_OS_KERNEL_HH
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -27,6 +26,7 @@
 #include "mem/simple_memory.hh"
 #include "pci/enumerator.hh"
 #include "pci/pci_host.hh"
+#include "sim/ring_queue.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 
@@ -205,10 +205,10 @@ class Kernel : public SimObject
 
     struct MmioOp
     {
-        bool isRead;
-        Addr addr;
-        unsigned size;
-        std::uint64_t value;
+        bool isRead = false;
+        Addr addr = 0;
+        unsigned size = 0;
+        std::uint64_t value = 0;
         std::function<void(std::uint64_t)> onRead;
         std::function<void()> onWrite;
     };
@@ -224,7 +224,7 @@ class Kernel : public SimObject
 
     std::unique_ptr<CpuPort> cpuPort_;
     std::function<void(bool)> mmioTimeoutHook_;
-    std::deque<MmioOp> mmioQueue_;
+    RingQueue<MmioOp> mmioQueue_;
     bool mmioInFlight_ = false;
     bool mmioWaitingRetry_ = false;
     PacketPtr mmioPkt_;

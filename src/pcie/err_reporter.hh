@@ -15,10 +15,10 @@
 #define PCIESIM_PCIE_ERR_REPORTER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "pci/aer.hh"
+#include "sim/ring_queue.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
@@ -75,7 +75,7 @@ class ErrReporter : public SimObject
     Tick deliveryLatency_;
     std::function<void(const ErrMsg &)> sink_;
     /** Arrived messages waiting for their delivery slot. */
-    std::deque<ErrMsg> pending_;
+    RingQueue<ErrMsg> pending_;
     /** Earliest tick of the next delivery: the last one plus the
      *  latency. */
     Tick nextFree_ = 0;

@@ -42,31 +42,29 @@ UnidirectionalLink::UnidirectionalLink(PcieLink &link,
 {}
 
 void
-UnidirectionalLink::send(const PciePkt &pkt, PcieGen gen,
-                         unsigned width)
+UnidirectionalLink::send(PciePkt pkt, Tick symbol_time, unsigned width)
 {
     Tick now = srcQueue_->curTick();
     panicIf(busy(now), "unidirectional link transmit while busy");
 
     // Serialize at the sender's operating point: after a
     // degradation the same packet occupies the wire longer.
-    Tick wire = pkt.wireTime(gen, width);
+    Tick wire = stripedTime(pkt.wireSymbols(), width, symbol_time);
     busyUntil_ = now + wire;
     busyTicks_ += wire;
     Tick arrive = busyUntil_ + link_.params().propagationDelay;
 
-    // Fault injection corrupts the wire copy only: the sender's
-    // replay-buffer copy stays intact for the retransmission.
-    PciePkt wire_pkt = pkt;
+    // Fault injection corrupts this wire copy only: the sender's
+    // TX-ring copy stays intact for the retransmission.
     if (faults_ != nullptr && faults_->enabled() &&
-        faults_->corruptsNext(wire_pkt, now)) {
-        wire_pkt.markCorrupted();
+        faults_->corruptsNext(pkt, now)) {
+        pkt.markCorrupted();
     }
 
     // Wire occupancy as a known-duration span: one Perfetto row
     // per direction shows the link's serialization schedule.
-    TRACE_COMPLETE(Flag::Link, now, wire, name_, pktLabel(wire_pkt),
-                   wire_pkt.corrupted() ? " (corrupted)" : "");
+    TRACE_COMPLETE(Flag::Link, now, wire, name_, pktLabel(pkt),
+                   pkt.corrupted() ? " (corrupted)" : "");
 
     // The delivery key is fixed now, by the send, and travels with
     // the packet: the delivery event is armed for this arrival
@@ -80,7 +78,7 @@ UnidirectionalLink::send(const PciePkt &pkt, PcieGen gen,
                                           std::defer_lock);
         if (cross_ && par::concurrent)
             lock.lock();
-        inFlight_.push_back({arrive, key_order, key_tie, wire_pkt});
+        inFlight_.emplace_back(arrive, key_order, key_tie, std::move(pkt));
     }
     // Schedule-if-earlier is idempotent under monotone per-wire
     // arrival times. Mid-window, a cut wire's sender must not touch
@@ -204,7 +202,7 @@ LinkInterface::LinkInterface(PcieLink &link, const std::string &name,
                              bool is_upstream)
     : link_(link), name_(name), isUpstream_(is_upstream),
       homeQueue_(&link.eventq()),
-      replayBuffer_(link.params().replayBufferSize),
+      txRing_(link.params().replayBufferSize),
       nakEnabled_(link.params().enableNak ||
                   link.params().faults.enabled()),
       txEvent_(this, name + ".txEvent"),
@@ -224,6 +222,7 @@ LinkInterface::setOperatingPoint(PcieGen gen, unsigned width)
     const PcieLinkParams &p = link_.params();
     gen_ = gen;
     width_ = width;
+    symbolTime_ = symbolTime(gen);
     replayTimeout_ = static_cast<Tick>(
         static_cast<double>(replayTimeout(gen, width, p.maxPayload)) *
         p.replayTimeoutScale);
@@ -300,7 +299,7 @@ LinkInterface::registerStats()
             "replayed / transmitted TLPs on this interface",
             Unit::Ratio);
     replayHighWater_ = [this] {
-        return static_cast<double>(replayBuffer_.highWater());
+        return static_cast<double>(txRing_.highWater());
     };
     reg.add(name_ + ".replayHighWater", &replayHighWater_,
             "deepest replay-buffer occupancy reached", Unit::Count);
@@ -329,11 +328,9 @@ bool
 LinkInterface::canAcceptTlp() const
 {
     // Source throttling: the replay buffer bounds the TLPs that may
-    // be in flight; retransmission pauses new acceptance
-    // (paper Sec. V-C).
-    return replayQueue_.empty() &&
-           replayBuffer_.size() + newQueue_.size() <
-               replayBuffer_.capacity();
+    // be in flight, accepted ones included; retransmission pauses
+    // new acceptance (paper Sec. V-C).
+    return !txRing_.replaying() && !txRing_.full();
 }
 
 bool
@@ -351,22 +348,14 @@ LinkInterface::acceptTlp(const PacketPtr &pkt)
             wantRespRetry_ = true;
         return false;
     }
-    newQueue_.push_back(PciePkt::makeTlp(pkt, sendSeq_));
-    newQueue_.back().setInjectTick(homeQueue_->curTick());
+    PciePkt tlp = PciePkt::makeTlp(pkt, sendSeq_);
+    tlp.setInjectTick(homeQueue_->curTick());
     TRACE_MSG(Flag::Tlp, homeQueue_->curTick(), name_, "inject seq ",
               sendSeq_, " ", pkt->toString());
+    // The ring's bound is the credit rule (replay_buffer.hh) and
+    // its audit the credit accounting.
+    txRing_.push(std::move(tlp));
     sendSeq_ = seqInc(sendSeq_);
-    // Credit accounting: replay-buffer residents plus queued-new
-    // TLPs may never exceed the replay buffer's capacity, or source
-    // throttling (paper Sec. V-C) has been bypassed.
-    PCIESIM_AUDIT(replayBuffer_.size() + newQueue_.size() <=
-                      replayBuffer_.capacity(),
-                  "link '", name_, "' over credit: ",
-                  replayBuffer_.size(), " unacked + ",
-                  newQueue_.size(), " queued > capacity ",
-                  replayBuffer_.capacity());
-    PCIESIM_AUDIT(seqInc(newQueue_.back().seq()) == sendSeq_,
-                  "link '", name_, "' send sequence out of step");
     scheduleTx();
     return true;
 }
@@ -376,8 +365,8 @@ LinkInterface::scheduleTx()
 {
     if (down_ || txEvent_.scheduled())
         return;
-    if (!ackPending_ && !nakPending_ && replayQueue_.empty() &&
-        newQueue_.empty()) {
+    if (!ackPending_ && !nakPending_ && !txRing_.replaying() &&
+        !txRing_.hasNew()) {
         return;
     }
     Tick when = std::max(homeQueue_->curTick(), txLink_->freeAt());
@@ -401,38 +390,25 @@ LinkInterface::tryTransmit()
         nakPending_ = false;
         ++txDllps_;
         ++naksSent_;
-        txLink_->send(PciePkt::makeDllp(DllpType::Nak, nakSeq_), gen_,
-                      width_);
+        txLink_->send(PciePkt::makeDllp(DllpType::Nak, nakSeq_),
+                      symbolTime_, width_);
     } else if (ackPending_) {
         ackPending_ = false;
         ++txDllps_;
-        txLink_->send(PciePkt::makeDllp(DllpType::Ack, ackSeq_), gen_,
-                      width_);
-    } else if (!replayQueue_.empty()) {
-        PciePkt pkt = replayQueue_.front();
-        replayQueue_.pop_front();
-        // A retransmitted TLP must still be resident in the replay
-        // buffer: only an ACK may retire it, and ACK processing
-        // purges the replay queue in lockstep.
-        PCIESIM_AUDIT(!replayBuffer_.empty() &&
-                          seqLe(replayBuffer_.entries().front().seq(),
-                                pkt.seq()) &&
-                          seqLe(pkt.seq(),
-                                replayBuffer_.entries().back().seq()),
-                      "link '", name_, "' replaying TLP ", pkt.seq(),
-                      " that is no longer in the replay buffer");
+        txLink_->send(PciePkt::makeDllp(DllpType::Ack, ackSeq_),
+                      symbolTime_, width_);
+    } else if (txRing_.replaying()) {
+        // The entry stays resident until an ACK purges it; the wire
+        // gets a copy.
         ++txTlps_;
         ++replayedTlps_;
-        txLink_->send(pkt, gen_, width_);
+        txLink_->send(txRing_.sendReplay(), symbolTime_, width_);
         startReplayTimer();
-        if (replayQueue_.empty())
+        if (!txRing_.replaying())
             notifyExternalRetry(); // acceptance may resume
-    } else if (!newQueue_.empty()) {
-        PciePkt pkt = newQueue_.front();
-        newQueue_.pop_front();
-        replayBuffer_.push(pkt);
+    } else if (txRing_.hasNew()) {
         ++txTlps_;
-        txLink_->send(pkt, gen_, width_);
+        txLink_->send(txRing_.sendNew(), symbolTime_, width_);
         startReplayTimer();
     } else {
         return;
@@ -452,14 +428,13 @@ LinkInterface::startReplayTimer()
 void
 LinkInterface::replayTimerFired()
 {
-    if (replayBuffer_.empty())
+    if (txRing_.sent() == 0)
         return;
 
     ++timeouts_;
     TRACE_MSG(Flag::Replay, homeQueue_->curTick(), name_,
-              "replay timeout; replaying ", replayBuffer_.size(),
-              " TLPs from seq ",
-              replayBuffer_.entries().front().seq());
+              "replay timeout; replaying ", txRing_.sent(),
+              " TLPs from seq ", txRing_.front().seq());
     link_.reportLinkError(*this, ErrSeverity::Correctable,
                           cfg::aerCorReplayTimerTimeout);
     if (nakEnabled()) {
@@ -469,8 +444,7 @@ LinkInterface::replayTimerFired()
     }
     // Retransmit every unacknowledged TLP in sequence order; new
     // TLP acceptance halts until the replay drains (paper Sec. V-C).
-    replayQueue_.assign(replayBuffer_.entries().begin(),
-                        replayBuffer_.entries().end());
+    txRing_.rewind();
     startReplayTimer();
     scheduleTx();
 }
@@ -513,8 +487,11 @@ LinkInterface::recvFromWire(const PciePkt &pkt)
 void
 LinkInterface::processAck(SeqNum seq)
 {
+    // The purge also drops acknowledged entries from a replay in
+    // progress, which resumes at the first one left (spec: purge
+    // before replaying).
     Tick now = homeQueue_->curTick();
-    std::size_t purged = replayBuffer_.ack(
+    std::size_t purged = txRing_.ack(
         seq, [&](const PciePkt &p) {
             ackLatency_.sample(now - p.injectTick());
         });
@@ -523,33 +500,21 @@ LinkInterface::processAck(SeqNum seq)
         replayNum_ = 0;
         replayHeadValid_ = false;
     }
-    // Drop now-acknowledged entries from a retransmission in
-    // progress as well (spec: purge before replaying).
-    while (!replayQueue_.empty() &&
-           seqLe(replayQueue_.front().seq(), seq)) {
-        replayQueue_.pop_front();
-    }
 
     // An ACK must purge everything at or below its sequence number;
     // anything acknowledged left resident would be replayed as a
     // duplicate after the next timeout.
-    PCIESIM_AUDIT(replayBuffer_.empty() ||
-                      !seqLe(replayBuffer_.entries().front().seq(),
-                             seq),
+    PCIESIM_AUDIT(txRing_.sent() == 0 || !seqLe(txRing_.front().seq(), seq),
                   "link '", name_, "' ack ", seq,
-                  " left acknowledged TLP ",
-                  replayBuffer_.entries().front().seq(), " resident");
-    PCIESIM_AUDIT(replayQueue_.empty() ||
-                      !seqLe(replayQueue_.front().seq(), seq),
-                  "link '", name_, "' ack ", seq,
-                  " left acknowledged TLP in the replay queue");
+                  " left acknowledged TLP ", txRing_.front().seq(),
+                  " resident");
 
     // Reset the replay timer; restart only while TLPs remain
     // unacknowledged (paper Sec. V-C). reschedule() re-keys an armed
     // timer in place and draws its tie where schedule() would, so
     // the timer's key, and the event order, match a deschedule and
     // a fresh schedule.
-    if (!replayBuffer_.empty()) {
+    if (txRing_.sent() > 0) {
         homeQueue_->reschedule(&replayTimerEvent_,
                                homeQueue_->curTick() + replayTimeout_);
     } else if (replayTimerEvent_.scheduled()) {
@@ -570,7 +535,7 @@ LinkInterface::processNak(SeqNum seq)
     // demands an immediate replay of the rest (spec; this is the
     // fast path that beats the replay timer).
     Tick now = homeQueue_->curTick();
-    std::size_t purged = replayBuffer_.ack(
+    std::size_t purged = txRing_.ack(
         seq, [&](const PciePkt &p) {
             ackLatency_.sample(now - p.injectTick());
         });
@@ -578,19 +543,14 @@ LinkInterface::processNak(SeqNum seq)
         replayNum_ = 0;
         replayHeadValid_ = false;
     }
-    while (!replayQueue_.empty() &&
-           seqLe(replayQueue_.front().seq(), seq)) {
-        replayQueue_.pop_front();
-    }
     if (replayTimerEvent_.scheduled())
         homeQueue_->deschedule(&replayTimerEvent_);
 
-    if (!replayBuffer_.empty()) {
+    if (txRing_.sent() > 0) {
         noteReplayInitiated();
         if (down_)
             return;
-        replayQueue_.assign(replayBuffer_.entries().begin(),
-                            replayBuffer_.entries().end());
+        txRing_.rewind();
         startReplayTimer();
     }
     notifyExternalRetry();
@@ -664,7 +624,7 @@ LinkInterface::noteReplayInitiated()
     // REPLAY_NUM: count consecutive replays of the same
     // head-of-buffer TLP; when the threshold is hit the link
     // itself is suspect and goes down for a retrain (spec).
-    SeqNum head = replayBuffer_.entries().front().seq();
+    SeqNum head = txRing_.front().seq();
     if (replayHeadValid_ && head == replayHeadSeq_) {
         ++replayNum_;
     } else {
@@ -698,15 +658,15 @@ LinkInterface::goDown()
     // retransmissions are lost, and arrivals in flight are dropped
     // as they land (lostOnWire()). A packet still serializing
     // finishes on the wire, and nothing new is sent before it has.
-    // Unacknowledged TLPs stay in the replay buffer and accepted
-    // TLPs stay queued; both go out again when the end comes up.
+    // Unacknowledged and accepted TLPs stay in the TX ring; both go
+    // out again when the end comes up.
     if (txEvent_.scheduled())
         homeQueue_->deschedule(&txEvent_);
     if (ackTimerEvent_.scheduled())
         homeQueue_->deschedule(&ackTimerEvent_);
     if (replayTimerEvent_.scheduled())
         homeQueue_->deschedule(&replayTimerEvent_);
-    replayQueue_.clear();
+    txRing_.stopReplay();
     ackPending_ = false;
     nakPending_ = false;
     nakScheduled_ = false;
@@ -719,9 +679,8 @@ LinkInterface::comeUp(PcieGen gen, unsigned width)
 {
     setOperatingPoint(gen, width);
     down_ = false;
-    if (!replayBuffer_.empty()) {
-        replayQueue_.assign(replayBuffer_.entries().begin(),
-                            replayBuffer_.entries().end());
+    if (txRing_.sent() > 0) {
+        txRing_.rewind();
         startReplayTimer();
     }
     notifyExternalRetry();

@@ -7,14 +7,25 @@
  * spec timeout formula, and an ACK timer at 1/3 of it.
  *
  * Transmission priority (paper Sec. V-C):
- *   1. ACK DLLPs   2. retransmitted TLPs   3. new TLPs.
+ *   1. ACK DLLPs (a NAK ahead of an ACK)   2. retransmitted TLPs
+ *   3. new TLPs.
+ *
+ * Each interface keeps its TLPs in one TX ring (replay_buffer.hh),
+ * allocated once at replayBufferSize: accepted TLPs enter at its
+ * tail, the transmitted prefix is the replay buffer, and a replay
+ * cursor inside that prefix marks the next retransmission. A replay
+ * rewinds the cursor and an ACK pops the acknowledged front; no TLP
+ * is copied between queues. The ring keeps the only retained copy;
+ * the wire gets its own (UnidirectionalLink::send() takes the packet
+ * by value), and that is the copy a fault corrupts.
  *
  * Backpressure semantics: an interface accepts a TLP from its
- * external ports only while its replay buffer has room (source
- * throttling); a TLP whose delivery is refused by the far end's
- * connected port is dropped there and recovered by the sender's
- * replay timeout - exactly the mechanism behind the paper's x8
- * congestion results.
+ * external ports only while the TX ring has room and no replay is
+ * due - accepted plus unacknowledged TLPs never exceed the replay
+ * buffer's capacity (source throttling). A TLP whose delivery is
+ * refused by the far end's connected port is dropped there and
+ * recovered by the sender's replay timeout - exactly the mechanism
+ * behind the paper's x8 congestion results.
  *
  * Fault recovery (DESIGN.md §7): with fault injection (or
  * enableNak) configured, the interfaces additionally run the spec
@@ -37,7 +48,6 @@
 #define PCIESIM_PCIE_PCIE_LINK_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -50,6 +60,7 @@
 #include "pcie/pcie_timing.hh"
 #include "pcie/replay_buffer.hh"
 #include "sim/invariant.hh"
+#include "sim/ring_queue.hh"
 #include "sim/rng.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
@@ -215,9 +226,11 @@ class UnidirectionalLink
     /** Accumulated wire-occupied ticks (utilization numerator). */
     Tick busyTicks() const { return busyTicks_; }
 
-    /** Begin transmitting at @p gen x@p width (the sender's
-     *  operating point); panics when busy. */
-    void send(const PciePkt &pkt, PcieGen gen, unsigned width);
+    /** Begin transmitting @p pkt at the sender's operating point,
+     *  @p symbol_time ticks per symbol on @p width lanes; panics
+     *  when busy. The wire keeps this copy: the fault injector
+     *  corrupts it, never the sender's. */
+    void send(PciePkt pkt, Tick symbol_time, unsigned width);
 
     /** Attach the fault state for this direction. */
     void setFaultInjector(FaultInjector *f) { faults_ = f; }
@@ -252,7 +265,7 @@ class UnidirectionalLink
         std::uint64_t keyTie;
         PciePkt pkt;
     };
-    std::deque<InFlight> inFlight_;
+    RingQueue<InFlight> inFlight_;
     /** Guards inFlight_; taken on cut wires only, and there only
      *  in fanned-out engine windows (par::concurrent), the only
      *  time sender and sink can run on different threads at once. */
@@ -317,8 +330,9 @@ class LinkInterface
         return static_cast<Tick>(creditStallTicks_.value());
     }
 
-    /** TLPs currently resident in the replay buffer (sampler). */
-    std::size_t replayDepth() const { return replayBuffer_.size(); }
+    /** TLPs currently resident in the replay buffer: transmitted
+     *  and unacknowledged (sampler). */
+    std::size_t replayDepth() const { return txRing_.sent(); }
 
     /**
      * Whether an arrival sent at tick @p sent is lost: this end is
@@ -416,9 +430,11 @@ class LinkInterface
      *  the downstream end). */
     EventQueue *homeQueue_ = nullptr;
 
-    /** @{ Operating point and the timer periods derived from it. */
+    /** @{ Operating point, the symbol time and the timer periods
+     *  derived from it. */
     PcieGen gen_;
     unsigned width_;
+    Tick symbolTime_ = 0;
     Tick replayTimeout_ = 0;
     Tick ackPeriod_ = 0;
     /** @} */
@@ -434,16 +450,13 @@ class LinkInterface
     std::unique_ptr<ExtMasterPort> extMaster_;
     std::unique_ptr<ExtSlavePort> extSlave_;
 
-    ReplayBuffer replayBuffer_;
+    /** Accepted, unacknowledged TLPs; its transmitted prefix is
+     *  the replay buffer (replay_buffer.hh). */
+    ReplayBuffer txRing_;
     /** Next sequence number to assign (TX). */
     SeqNum sendSeq_ = 0;
     /** Next sequence number expected (RX). */
     SeqNum recvSeq_ = 0;
-
-    /** Accepted TLPs waiting for first transmission. */
-    std::deque<PciePkt> newQueue_;
-    /** TLPs queued for retransmission after a timeout. */
-    std::deque<PciePkt> replayQueue_;
     /** Coalesced pending ACK. */
     bool ackPending_ = false;
     SeqNum ackSeq_ = 0;

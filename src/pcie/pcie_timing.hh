@@ -96,16 +96,28 @@ symbolTime(PcieGen gen)
 }
 
 /**
- * Serialization time of @p symbols bytes on a link of @p width
- * lanes. Bytes are striped across lanes (paper Sec. II-B).
+ * Time to move @p symbols bytes striped across @p width lanes
+ * (paper Sec. II-B) at @p symbol_time ticks per symbol. A link end
+ * caches symbolTime() of its operating point and calls this per
+ * packet.
  */
 constexpr Tick
-serializationTime(PcieGen gen, unsigned width, unsigned symbols)
+stripedTime(unsigned symbols, unsigned width, Tick symbol_time)
 {
     // Round the per-lane symbol count up: a partial stripe still
     // occupies a full symbol time.
     unsigned per_lane = (symbols + width - 1) / width;
-    return static_cast<Tick>(per_lane) * symbolTime(gen);
+    return static_cast<Tick>(per_lane) * symbol_time;
+}
+
+/**
+ * Serialization time of @p symbols bytes on a link of @p width
+ * lanes.
+ */
+constexpr Tick
+serializationTime(PcieGen gen, unsigned width, unsigned symbols)
+{
+    return stripedTime(symbols, width, symbolTime(gen));
 }
 
 /**

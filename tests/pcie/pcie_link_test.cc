@@ -618,3 +618,157 @@ TEST(PcieLinkTimeout, CompletionTimeoutFiresWhileLinkIsDown)
     // abort and was discarded without a protocol violation.
     EXPECT_GE(sim.curTick(), 2_ms);
 }
+
+namespace
+{
+
+/**
+ * Replay-cursor cases. The far end refuses every delivery, so it
+ * never acknowledges anything; the test plays its DLLPs into the
+ * near end with recvFromWire() at chosen ticks. Four TLPs leave back
+ * to back from tick 0 and are all sent before the replay timer,
+ * armed by the first, fires at tau; the timeout replay then resends
+ * one TLP per wire time from tau. The replay buffer holds 8, so a
+ * refusal of a fifth TLP comes from the replay rule alone.
+ */
+struct ReplayCursorFixture : LinkFixture
+{
+    void
+    start(PcieLinkParams p)
+    {
+        p.replayBufferSize = 8;
+        build(p);
+        devPio.refuseRequests = 1 << 30;
+        for (unsigned i = 0; i < 4; ++i)
+            ASSERT_TRUE(send(i));
+        wire = serializationTime(p.gen, p.width, 64 + overhead::tlpTotal);
+        tau = link->replayTimeoutTicks();
+        ASSERT_LT(4 * wire, tau);
+    }
+
+    bool
+    send(unsigned i)
+    {
+        return rcSrc.sendTimingReq(Packet::makeRequest(
+            MemCmd::WriteReq, 0x40000000 + 64 * i, 64));
+    }
+
+    void
+    dllpAt(Tick when, DllpType type, SeqNum seq)
+    {
+        sim.callAt(0, when, [this, type, seq] {
+            up().recvFromWire(PciePkt::makeDllp(type, seq));
+        });
+    }
+
+    LinkInterface &up() { return link->upstreamIf(); }
+
+    Tick wire = 0;
+    Tick tau = 0;
+};
+
+} // namespace
+
+TEST_F(ReplayCursorFixture, AckMidReplayResumesAtFirstUnackedTlp)
+{
+    start({});
+    // ACK 1 lands while TLP 0 is being resent.
+    dllpAt(tau + wire / 2, DllpType::Ack, 1);
+    sim.run(tau + wire / 2 - 1);
+    EXPECT_EQ(up().timeouts(), 1u);
+    EXPECT_EQ(up().replayedTlps(), 1u);
+    EXPECT_EQ(up().replayDepth(), 4u);
+    EXPECT_FALSE(send(4)); // a replay closes acceptance
+
+    sim.run(tau + wire / 2 + 1);
+    // TLPs 0 (already resent) and 1 (not yet) are purged.
+    EXPECT_EQ(up().replayDepth(), 2u);
+    EXPECT_EQ(up().ackLatency().samples(), 2u);
+    EXPECT_EQ(rcSrc.reqRetries, 0u);
+
+    // The replay goes on at TLP 2, the first unacknowledged: 2 at
+    // tau + wire and 3 at tau + 2 wire, and then it has drained.
+    sim.run(tau + 2 * wire - 1);
+    EXPECT_EQ(up().replayedTlps(), 2u);
+    EXPECT_EQ(rcSrc.reqRetries, 0u);
+    sim.run(tau + 2 * wire + 1);
+    EXPECT_EQ(up().replayedTlps(), 3u); // 0, 2, 3
+    EXPECT_EQ(rcSrc.reqRetries, 1u);    // acceptance reopens
+    EXPECT_TRUE(send(4));
+
+    // The new TLP follows the replay as a first transmission.
+    sim.run(tau + 3 * wire + 1);
+    EXPECT_EQ(up().txTlps(), 4u + 3u + 1u);
+    EXPECT_EQ(up().replayedTlps(), 3u);
+    EXPECT_EQ(up().replayDepth(), 3u);
+}
+
+TEST_F(ReplayCursorFixture, NakMidReplayRestartsAtOldestUnackedTlp)
+{
+    start({});
+    // NAK 0 lands while TLP 1 is being resent: it acknowledges TLP
+    // 0 and demands a replay of the rest from the start.
+    dllpAt(tau + wire + wire / 2, DllpType::Nak, 0);
+    sim.run(tau + wire + wire / 2 + 1);
+    EXPECT_EQ(up().naksReceived(), 1u);
+    EXPECT_EQ(up().replayedTlps(), 2u);
+    EXPECT_EQ(up().replayDepth(), 3u);
+    EXPECT_FALSE(send(4));
+
+    // TLP 1 goes out again once the wire frees, then 2 and 3.
+    sim.run(tau + 4 * wire - 1);
+    EXPECT_EQ(up().replayedTlps(), 4u);
+    EXPECT_EQ(rcSrc.reqRetries, 0u);
+    sim.run(tau + 4 * wire + 1);
+    EXPECT_EQ(up().replayedTlps(), 5u); // 0, 1, then 1, 2, 3
+    EXPECT_EQ(rcSrc.reqRetries, 1u);
+    EXPECT_EQ(up().timeouts(), 1u);
+    EXPECT_EQ(up().replayDepth(), 3u);
+}
+
+TEST_F(ReplayCursorFixture, GoDownMidReplayThenComeUpReplaysEverything)
+{
+    // Corrupting every DLLP toward the near end keeps the far end's
+    // own NAKs out and turns the NAK machinery on. REPLAY_NUM 2 is
+    // reached by the NAK below: the timeout replay counts 1.
+    PcieLinkParams p;
+    for (std::uint64_t n = 1; n <= 64; ++n)
+        p.faults.corruptDllpNumbers.push_back(n);
+    p.replayNumThreshold = 2;
+    p.retrainLatency = 1_us;
+    start(p);
+
+    // A NAK that acknowledges nothing lands while TLP 0 is being
+    // resent: the second replay of the same head retrains the link.
+    dllpAt(tau + wire / 2, DllpType::Nak, seqDec(0));
+    sim.run(tau + wire / 2 + 1);
+    EXPECT_TRUE(link->training());
+    EXPECT_EQ(up().retrains(), 1u);
+    EXPECT_EQ(up().replayedTlps(), 1u);
+    EXPECT_EQ(up().replayDepth(), 4u);
+    // Down, the replay is dropped: nothing is due, so acceptance is
+    // open, but nothing is sent.
+    EXPECT_TRUE(send(4));
+
+    const Tick up_at = tau + wire / 2 + p.retrainLatency;
+    sim.run(up_at - 1);
+    EXPECT_EQ(up().txTlps(), 5u);
+    EXPECT_EQ(up().replayDepth(), 4u);
+
+    // Up again, every transmitted TLP is replayed from the oldest,
+    // and acceptance reopens only when that replay drains.
+    sim.run(up_at + 1);
+    EXPECT_FALSE(link->training());
+    EXPECT_FALSE(send(5));
+    sim.run(up_at + 3 * wire - 1);
+    EXPECT_EQ(up().replayedTlps(), 4u);
+    EXPECT_EQ(rcSrc.reqRetries, 0u);
+    sim.run(up_at + 3 * wire + 1);
+    EXPECT_EQ(up().replayedTlps(), 5u); // 0, then 0, 1, 2, 3
+    EXPECT_EQ(rcSrc.reqRetries, 1u);
+
+    // TLP 4, accepted while down, goes out after the replay.
+    sim.run(up_at + 4 * wire + 1);
+    EXPECT_EQ(up().txTlps(), 4u + 5u + 1u);
+    EXPECT_EQ(up().replayDepth(), 5u);
+}

@@ -1,6 +1,8 @@
 /**
  * @file
- * Unit tests for the replay buffer.
+ * Unit tests for the replay buffer: a link end's TX ring of accepted
+ * TLPs, whose transmitted prefix is the replay buffer proper and
+ * whose replay cursor marks the next retransmission.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,14 @@ tlp(SeqNum seq)
 {
     return PciePkt::makeTlp(
         Packet::makeRequest(MemCmd::WriteReq, 0, 64), seq);
+}
+
+/** Accept a TLP and transmit it: it joins the replay buffer. */
+void
+pushSent(ReplayBuffer &rb, SeqNum seq)
+{
+    rb.push(tlp(seq));
+    EXPECT_EQ(rb.sendNew().seq(), seq);
 }
 
 } // namespace
@@ -40,10 +50,10 @@ TEST(ReplayBufferTest, AckPurgesUpToAndIncluding)
 {
     ReplayBuffer rb(8);
     for (SeqNum s = 0; s < 6; ++s)
-        rb.push(tlp(s));
+        pushSent(rb, s);
     EXPECT_EQ(rb.ack(2), 3u); // purge 0,1,2
     EXPECT_EQ(rb.size(), 3u);
-    EXPECT_EQ(rb.entries().front().seq(), 3u);
+    EXPECT_EQ(rb.front().seq(), 3u);
     EXPECT_EQ(rb.ack(10), 3u); // purge the rest
     EXPECT_TRUE(rb.empty());
     EXPECT_EQ(rb.ack(10), 0u); // idempotent
@@ -54,11 +64,11 @@ TEST(ReplayBufferTest, EntriesStayInSequenceOrder)
     ReplayBuffer rb(4);
     rb.push(tlp(5));
     rb.push(tlp(6));
-    rb.push(tlp(9));
+    rb.push(tlp(7));
     SeqNum prev = 0;
-    for (const auto &e : rb.entries()) {
-        EXPECT_GT(e.seq(), prev);
-        prev = e.seq();
+    for (std::size_t i = 0; i < rb.size(); ++i) {
+        EXPECT_GT(rb[i].seq(), prev);
+        prev = rb[i].seq();
     }
 }
 
@@ -68,11 +78,16 @@ TEST(ReplayBufferTest, ViolationsPanic)
     ReplayBuffer rb(2);
     rb.push(tlp(3));
     EXPECT_THROW(rb.push(tlp(2)), PanicError); // non-increasing
+    EXPECT_THROW(rb.push(tlp(5)), PanicError); // a gap
     EXPECT_THROW(rb.push(PciePkt::makeDllp(DllpType::Ack, 0)),
                  PanicError); // not a TLP
     rb.push(tlp(4));
     EXPECT_THROW(rb.push(tlp(5)), PanicError); // overflow
     EXPECT_THROW(ReplayBuffer(0), PanicError); // zero capacity
+    EXPECT_THROW(rb.sendReplay(), PanicError);  // no replay due
+    rb.sendNew();
+    rb.sendNew();
+    EXPECT_THROW(rb.sendNew(), PanicError);     // nothing new
     setLoggingThrows(false);
 }
 
@@ -101,24 +116,24 @@ TEST(ReplayBufferTest, SequenceWrapAround)
     // Fill across the 4095 -> 0 wrap; order, acking, and the seq
     // audit must all use modular comparisons.
     ReplayBuffer rb(4);
-    rb.push(tlp(4094));
-    rb.push(tlp(4095));
-    rb.push(tlp(0));
-    rb.push(tlp(1));
+    pushSent(rb, 4094);
+    pushSent(rb, 4095);
+    pushSent(rb, 0);
+    pushSent(rb, 1);
     EXPECT_TRUE(rb.full());
 
     // ACK 4095 purges the two pre-wrap entries only.
     EXPECT_EQ(rb.ack(4095), 2u);
     ASSERT_EQ(rb.size(), 2u);
-    EXPECT_EQ(rb.entries().front().seq(), 0u);
+    EXPECT_EQ(rb.front().seq(), 0u);
 
     // ACK 1 (post-wrap) purges the rest.
     EXPECT_EQ(rb.ack(1), 2u);
     EXPECT_TRUE(rb.empty());
 
     // Refill past the wrap point and ACK across it in one step.
-    rb.push(tlp(4095));
-    rb.push(tlp(0));
+    pushSent(rb, 4095);
+    pushSent(rb, 0);
     EXPECT_EQ(rb.ack(0), 2u);
     EXPECT_TRUE(rb.empty());
 }
@@ -134,4 +149,56 @@ TEST(ReplayBufferTest, WrapViolationsStillPanic)
     rb.push(tlp(1));
     EXPECT_THROW(rb.push(tlp(1)), PanicError); // duplicate
     setLoggingThrows(false);
+}
+
+TEST(ReplayBufferTest, AckPurgesOnlyTheTransmittedPrefix)
+{
+    // Accepted TLPs count against the credit bound from the moment
+    // they enter the ring, but only transmitted ones are the replay
+    // buffer an ACK can purge.
+    ReplayBuffer rb(4);
+    pushSent(rb, 0);
+    rb.push(tlp(1));
+    rb.push(tlp(2));
+    EXPECT_EQ(rb.size(), 3u);
+    EXPECT_EQ(rb.sent(), 1u);
+    EXPECT_TRUE(rb.hasNew());
+    EXPECT_EQ(rb.ack(2), 1u);
+    EXPECT_EQ(rb.sent(), 0u);
+    ASSERT_EQ(rb.size(), 2u);
+    EXPECT_EQ(rb.front().seq(), 1u);
+    EXPECT_EQ(rb.highWater(), 1u);
+}
+
+TEST(ReplayBufferTest, AckDuringReplayShiftsTheCursor)
+{
+    ReplayBuffer rb(4);
+    for (SeqNum s = 0; s < 4; ++s)
+        pushSent(rb, s);
+    EXPECT_FALSE(rb.replaying());
+    EXPECT_EQ(rb.cursor(), 4u);
+
+    // A replay resends 0 and 1, then an ACK for 0 lands: one resent
+    // entry is purged and the replay goes on at 2.
+    rb.rewind();
+    EXPECT_TRUE(rb.replaying());
+    EXPECT_EQ(rb.sendReplay().seq(), 0u);
+    EXPECT_EQ(rb.sendReplay().seq(), 1u);
+    EXPECT_EQ(rb.ack(0), 1u);
+    EXPECT_EQ(rb.cursor(), 1u);
+    EXPECT_EQ(rb.sendReplay().seq(), 2u);
+
+    // An ACK past the cursor leaves the replay at the first entry
+    // left.
+    EXPECT_EQ(rb.ack(2), 2u);
+    EXPECT_EQ(rb.cursor(), 0u);
+    EXPECT_EQ(rb.sendReplay().seq(), 3u);
+    EXPECT_FALSE(rb.replaying());
+
+    // Stopping a replay parks the cursor at the transmitted end.
+    rb.rewind();
+    rb.stopReplay();
+    EXPECT_FALSE(rb.replaying());
+    EXPECT_EQ(rb.cursor(), rb.sent());
+    EXPECT_EQ(rb.highWater(), 4u);
 }

@@ -6,8 +6,9 @@
  * conditions must not be evaluated when audits are compiled out,
  * and audit-only code must vanish. The death tests — a pooled
  * double free, a foreign pointer handed to the pool, a corrupted
- * replay-buffer sequence number — only exist in audit builds
- * (the `audit` preset), where they prove each audit actually fires.
+ * replay-buffer sequence number or TX-ring cursor — only exist in
+ * audit builds (the `audit` preset), where they prove each audit
+ * actually fires.
  */
 
 #include <gtest/gtest.h>
@@ -68,10 +69,15 @@ TEST(InvariantTest, HealthyReplayBufferPassesSeqAudit)
     for (SeqNum s = 1; s <= 4; ++s) {
         rb.push(PciePkt::makeTlp(
             Packet::makeRequest(MemCmd::ReadReq, 0x1000 * s, 64), s));
+        rb.sendNew();
     }
+    rb.rewind();
+    rb.sendReplay();
     EXPECT_EQ(rb.ack(2), 2u);
     rb.push(PciePkt::makeTlp(
         Packet::makeRequest(MemCmd::ReadReq, 0x9000, 64), 5));
+    rb.stopReplay();
+    rb.sendNew();
     EXPECT_EQ(rb.ack(5), 3u);
     EXPECT_TRUE(rb.empty());
 }
@@ -131,6 +137,20 @@ TEST(InvariantDeathTest, ReplayBufferSeqCorruptionFiresAudit)
         Packet::makeRequest(MemCmd::ReadReq, 0x2000, 64), 8));
     EXPECT_DEATH(rb.corruptSeqForAuditTest(1, 7),
                  "replay buffer seq order broken");
+}
+
+TEST(InvariantDeathTest, TxRingCursorPastSentFiresAudit)
+{
+    // A replay cursor beyond the transmitted prefix would resend a
+    // TLP that was never sent.
+    ReplayBuffer rb(4);
+    rb.push(PciePkt::makeTlp(
+        Packet::makeRequest(MemCmd::ReadReq, 0x1000, 64), 7));
+    rb.sendNew();
+    rb.push(PciePkt::makeTlp(
+        Packet::makeRequest(MemCmd::ReadReq, 0x2000, 64), 8));
+    EXPECT_DEATH(rb.corruptCursorForAuditTest(),
+                 "TX ring boundaries out of order");
 }
 
 TEST(InvariantDeathTest, NakOutsideLossWindowFiresAudit)
